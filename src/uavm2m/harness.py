@@ -321,13 +321,8 @@ def run_baseline_comparison(
         )
         gains[g, :] = channel.path_gain(d3, scenario.wavelength_m,
                                         baseline.pathloss_exp_terrestrial)
-    inst = raopt.RaInstance(
-        dwell=uav.plan.dwell, gains=gains,
-        packet_bits=scenario.packet_bits, rb_bandwidth=scenario.rb_bandwidth_hz,
-        total_rbs=scenario.total_rbs, noise_psd=scenario.noise_psd,
-        beta=channel.snr_gap(scenario.ber_target), pmax=scenario.pmax_w,
-        slot_s=scenario.slot_seconds,
-    )
+    # same dwell plan and radio constants, ground-station gains
+    inst = replace(uav.instance, gains=gains)
     terr_sol = raopt.solve_reduced(inst)
     terr_power = average_ch_power(inst, terr_sol)
     reduction = 1.0 - uav.avg_power_w / terr_power if terr_power > 0 else 0.0

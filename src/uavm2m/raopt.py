@@ -14,15 +14,20 @@ Three independent routes are provided and cross-checked against each other:
   and solves it as a nonlinear root-finding problem with Levenberg-Marquardt.
 * `solve_reduced` - eliminates powers through the tight delivery constraint
   and minimizes the remaining separable convex function of z by bisecting on
-  the shared multiplier that equalizes per-UAV marginal costs.
+  the shared multiplier that equalizes per-UAV marginal costs, solving for
+  every UAV's RB count at once with a bracketed Newton iteration.
 * `brute_force` - exact enumeration over integer allocations (small sizes).
+
+The reduced route, rounding and the oracle share `RaInstance.links`, one
+array view of the served links (`LinkView`); the KKT route keeps its own
+per-link arithmetic so that the two routes stay independent.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +59,64 @@ class SolverConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class LinkView:
+    """The served links of an instance as read-only parallel arrays.
+
+    Link k joins CH `ch[k]` to UAV `uav[k]` (ch-major order); `seg[k]` is
+    the position of that UAV in `uavs`, the serving UAVs in ascending order.
+    At z resource blocks the link needs coeff[k] * (2**(c[k]/z) - 1) * z
+    watts, which enters the objective with weight `weight[k]`, its dwell.
+    The per-UAV kernels take one RB count per serving UAV, in `uavs` order.
+    """
+
+    ch: np.ndarray
+    uav: np.ndarray
+    weight: np.ndarray
+    c: np.ndarray
+    coeff: np.ndarray
+    uavs: np.ndarray
+    seg: np.ndarray
+
+    @staticmethod
+    def build(inst: RaInstance) -> LinkView:
+        d = inst.dwell.entries
+        ch, uav = np.nonzero(d.T > 0)
+        weight = d[uav, ch]
+        uavs = np.flatnonzero(np.any(d > 0, axis=1))
+        view = LinkView(
+            ch=ch, uav=uav, weight=weight,
+            c=inst.packet_bits / (inst.rb_bandwidth * weight * inst.slot_s),
+            coeff=inst.rb_bandwidth * inst.noise_psd / (inst.beta * inst.gains[ch, uav]),
+            uavs=uavs, seg=np.searchsorted(uavs, uav),
+        )
+        for arr in vars(view).values():
+            arr.setflags(write=False)
+        return view
+
+    def power(self, z_link: np.ndarray) -> np.ndarray:
+        """Required power of each link at its RB count z_link[..., k]."""
+        return self.coeff * (2.0 ** (self.c / z_link) - 1.0) * z_link
+
+    def cost(self, z: np.ndarray) -> np.ndarray:
+        """Per serving UAV: dwell-weighted power of its links."""
+        return self._per_uav(self.weight * self.power(z[self.seg]))
+
+    def marginal(self, z: np.ndarray) -> np.ndarray:
+        """Per serving UAV: d cost / dz, negative and increasing in z."""
+        t = self.c / z[self.seg]
+        return self._per_uav(self.weight * self.coeff * (2.0**t * (1.0 - t * _LN2) - 1.0))
+
+    def curvature(self, z: np.ndarray) -> np.ndarray:
+        """Per serving UAV: d2 cost / dz2, positive."""
+        z_link = z[self.seg]
+        t = self.c / z_link
+        return self._per_uav(self.weight * self.coeff * 2.0**t * (t * _LN2) ** 2 / z_link)
+
+    def _per_uav(self, per_link: np.ndarray) -> np.ndarray:
+        return np.bincount(self.seg, weights=per_link, minlength=len(self.uavs))
+
+
+@dataclass(frozen=True)
 class RaInstance:
     """One allocation problem: dwell plan, link gains, and radio constants."""
 
@@ -66,6 +129,7 @@ class RaInstance:
     beta: float
     pmax: float
     slot_s: float = 1.0
+    links: LinkView = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
@@ -83,6 +147,7 @@ class RaInstance:
                 raise ValueError(f"{name} must be > 0")
         gains.setflags(write=False)
         object.__setattr__(self, "gains", gains)
+        object.__setattr__(self, "links", LinkView.build(self))
 
     @property
     def num_uavs(self) -> int:
@@ -94,21 +159,18 @@ class RaInstance:
 
     def active_pairs(self) -> list[tuple[int, int]]:
         """(ch, uav) links with positive dwell, ch-major order."""
-        d = self.dwell.entries
-        return [(g, u) for g in range(self.num_chs) for u in range(self.num_uavs) if d[u, g] > 0]
+        return list(zip(self.links.ch.tolist(), self.links.uav.tolist()))
 
     def active_uavs(self) -> list[int]:
-        return sorted({u for _, u in self.active_pairs()})
+        return self.links.uavs.tolist()
 
     def served_chs(self) -> list[int]:
-        return sorted({g for g, _ in self.active_pairs()})
+        return sorted(set(self.links.ch.tolist()))
 
     def pair_constants(self, g: int, u: int) -> tuple[float, float]:
         """(c, coeff) with required power = coeff * (2**(c/z) - 1) * z."""
-        d = self.dwell.entries[u, g]
-        c = self.packet_bits / (self.rb_bandwidth * d * self.slot_s)
-        coeff = self.rb_bandwidth * self.noise_psd / (self.beta * self.gains[g, u])
-        return c, coeff
+        k = np.flatnonzero((self.links.ch == g) & (self.links.uav == u))[0]
+        return float(self.links.c[k]), float(self.links.coeff[k])
 
     def pair_power(self, g: int, u: int, z: float) -> float:
         """Minimum power for link (g, u) at z resource blocks."""
@@ -160,11 +222,12 @@ def objective_value(inst: RaInstance, power: np.ndarray) -> float:
     return float(np.sum(inst.dwell.entries.T * power))
 
 
+@np.errstate(over="ignore")
 def _powers_for(inst: RaInstance, z: np.ndarray) -> np.ndarray:
     """Tight delivery powers at allocation z (0 where no dwell)."""
+    links = inst.links
     power = np.zeros((inst.num_chs, inst.num_uavs))
-    for g, u in inst.active_pairs():
-        power[g, u] = inst.pair_power(g, u, float(z[u]))
+    power[links.ch, links.uav] = links.power(np.asarray(z, dtype=float)[links.uav])
     return power
 
 
@@ -493,140 +556,94 @@ def solve_kkt(
 # reduced solver (independent of the LMA route)
 # ---------------------------------------------------------------------------
 
-def _uav_cost_terms(inst: RaInstance) -> dict[int, list[tuple[float, float, float]]]:
-    """Per serving UAV: list of (weight, c, coeff) of its served links, where
-    weight is the link's dwell (the objective weight of that link's power)."""
-    terms: dict[int, list[tuple[float, float, float]]] = {}
-    for g, u in inst.active_pairs():
-        c, coeff = inst.pair_constants(g, u)
-        terms.setdefault(u, []).append((float(inst.dwell.entries[u, g]), c, coeff))
-    return terms
-
-
-def _phi(terms: list[tuple[float, float, float]], z: float) -> float:
-    total = 0.0
-    for w, c, coeff in terms:
-        if c / z > 1024.0:
-            return math.inf
-        total += w * coeff * (2.0 ** (c / z) - 1.0) * z
-    return total
-
-
-def _phi_prime(terms: list[tuple[float, float, float]], z: float) -> float:
-    total = 0.0
-    for w, c, coeff in terms:
-        total += w * coeff * rb_term_derivative(c, z)
-    return total
-
-
-def _z_for_marginal(terms, mu: float, z_lo: float, z_hi: float) -> float:
-    """z in [z_lo, z_hi] where the (increasing) marginal cost equals -mu,
-    clamped to the box."""
-    if _phi_prime(terms, z_hi) <= -mu:
-        return z_hi
-    lo_val = _phi_prime(terms, z_lo)
-    if not (lo_val < -mu):  # already flatter than -mu at the lower edge
-        return z_lo
-    lo, hi = z_lo, z_hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _phi_prime(terms, mid) < -mu:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _pmax_z_floor(inst: RaInstance) -> dict[int, float]:
-    """Per serving UAV, the smallest z keeping all its links under pmax."""
-    floors: dict[int, float] = {}
+def _cap_floors(inst: RaInstance) -> np.ndarray:
+    """Per serving UAV, the smallest z keeping all its links within pmax:
+    bisection on every link's power at once."""
+    links = inst.links
     big_z = float(inst.total_rbs)
-    for g, u in inst.active_pairs():
-        if inst.pair_power(g, u, big_z) > inst.pmax:
-            raise InfeasibleInstanceError(
-                f"link (ch={g}, uav={u}) exceeds the power cap even with all "
-                f"{inst.total_rbs} resource blocks", ch=g, uav=u)
-        try:
-            fits_at_floor = inst.pair_power(g, u, Z_MIN_ACTIVE) <= inst.pmax
-        except OverflowError:
-            fits_at_floor = False
-        if fits_at_floor:
-            floor = Z_MIN_ACTIVE
-        else:
-            lo, hi = Z_MIN_ACTIVE, big_z
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                try:
-                    too_hot = inst.pair_power(g, u, mid) > inst.pmax
-                except OverflowError:
-                    too_hot = True
-                if too_hot:
-                    lo = mid
-                else:
-                    hi = mid
-            floor = hi
-        floors[u] = max(floors.get(u, Z_MIN_ACTIVE), floor)
+    n_links = len(links.ch)
+    too_hot = links.power(np.full(n_links, big_z)) > inst.pmax
+    if np.any(too_hot):
+        k = int(np.argmax(too_hot))
+        g, u = int(links.ch[k]), int(links.uav[k])
+        raise InfeasibleInstanceError(
+            f"link (ch={g}, uav={u}) exceeds the power cap even with all "
+            f"{inst.total_rbs} resource blocks", ch=g, uav=u)
+    lo, hi = np.full(n_links, Z_MIN_ACTIVE), np.full(n_links, big_z)
+    capped = links.power(lo) > inst.pmax
+    if np.any(capped):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            too_hot = links.power(mid) > inst.pmax
+            lo = np.where(too_hot, mid, lo)
+            hi = np.where(too_hot, hi, mid)
+    floors = np.full(len(links.uavs), Z_MIN_ACTIVE)
+    np.maximum.at(floors, links.seg, np.where(capped, hi, Z_MIN_ACTIVE))
     return floors
 
 
+def _z_at_level(links: LinkView, mu: float, floors: np.ndarray, big_z: float,
+                mu_full: np.ndarray, mu_floor: np.ndarray) -> np.ndarray:
+    """Per serving UAV, the z in [floors, big_z] where the marginal cost is
+    -mu, clamped to that box: at mu <= mu_full a UAV takes all of big_z, at
+    mu >= mu_floor it stays at its floor. Newton steps on log(-marginal) over
+    log z, safeguarded by each UAV's bracket, stop once no z moves by more
+    than 1e-10 relative; the error is then at the marginal's rounding noise."""
+    free = (mu_full < mu) & (mu < mu_floor)
+    lo = floors
+    z = hi = np.full_like(floors, big_z)
+    for _ in range(100):
+        slope = links.marginal(z)
+        g = np.log(-slope / mu)  # > 0 while z is below its root
+        lo = np.where(g > 0, z, lo)
+        hi = np.where(g > 0, hi, z)
+        z_new = z * np.exp(-g * slope / (z * links.curvature(z)))
+        z_new = np.where((lo < z_new) & (z_new < hi), z_new, np.sqrt(lo * hi))
+        z_new = np.where(free, z_new, z)
+        done = np.all(np.abs(z_new - z) <= 1e-10 * z)
+        z = z_new
+        if done:
+            break
+    return np.where(mu <= mu_full, big_z, np.where(mu >= mu_floor, floors, z))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def solve_reduced(inst: RaInstance) -> RaSolution:
     """Convex minimization after eliminating powers via tight delivery.
 
     The remaining cost is separable and strictly decreasing in each z_u, so
     the whole RB budget is spent; the optimum equalizes per-UAV marginal
-    costs at a shared level found by bisection.
+    costs at a shared level mu found by bisection. Power caps become
+    per-UAV floors on z; the instance is feasible iff they fit in the budget.
     """
-    pairs = inst.active_pairs()
-    if not pairs:
+    links = inst.links
+    if not len(links.ch):
         return _trivial_solution(inst)[0]
-    _check_start_feasible(inst)
-    terms = _uav_cost_terms(inst)
-    uavs = sorted(terms)
     big_z = float(inst.total_rbs)
-    floors = _pmax_z_floor(inst)
+    floors = _cap_floors(inst)
+    if floors.sum() > big_z + 1e-9:
+        raise InfeasibleInstanceError(
+            "power caps force more resource blocks than the budget holds",
+            uav=int(links.uavs[np.argmax(floors)]))
+
+    mu_full = -links.marginal(np.full_like(floors, big_z))
+    mu_floor = -links.marginal(floors)
+    # at mu = lo some UAV takes all of Z; at mu = hi every UAV takes at most
+    # its floor plus an even share of the slack, so the level lies between
+    lo = float(mu_full.min())
+    hi = float(-links.marginal(floors + (big_z - floors.sum()) / len(floors)).min())
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _z_at_level(links, mid, floors, big_z, mu_full, mu_floor).sum() > big_z:
+            lo = mid
+        else:
+            hi = mid
+    z_serving = _z_at_level(links, hi, floors, big_z, mu_full, mu_floor)
+    # the bisection ends at adjacent levels; the last rounding-level gap to
+    # the budget goes to the largest allocation
+    z_serving[np.argmax(z_serving)] += big_z - z_serving.sum()
 
     z = np.zeros(inst.num_uavs)
-    if len(uavs) == 1:
-        z[uavs[0]] = big_z
-    else:
-        if sum(floors.values()) > big_z + 1e-9:
-            worst = max(floors, key=lambda u: floors[u])
-            raise InfeasibleInstanceError(
-                "power caps force more resource blocks than the budget holds",
-                uav=worst)
-
-        def alloc(mu: float) -> dict[int, float]:
-            return {u: _z_for_marginal(terms[u], mu, floors[u], big_z) for u in uavs}
-
-        def total(mu: float) -> float:
-            return sum(alloc(mu).values())
-
-        # bracket the shared marginal level, then bisect
-        mu_lo = 0.0
-        mu_hi = max(-_phi_prime(terms[u], big_z) for u in uavs)
-        guard = 0
-        while total(mu_hi) > big_z and guard < 2000:
-            mu_lo = mu_hi
-            mu_hi *= 2.0
-            guard += 1
-        for _ in range(100):
-            mid = 0.5 * (mu_lo + mu_hi)
-            if total(mid) > big_z:
-                mu_lo = mid
-            else:
-                mu_hi = mid
-        final = alloc(0.5 * (mu_lo + mu_hi))
-        # absorb the residual budget gap in the largest uncapped allocation
-        gap = big_z - sum(final.values())
-        for u in sorted(final, key=lambda u: -final[u]):
-            bumped = min(max(final[u] + gap, floors[u]), big_z)
-            gap -= bumped - final[u]
-            final[u] = bumped
-            if abs(gap) < 1e-12:
-                break
-        for u, value in final.items():
-            z[u] = value
-
+    z[links.uavs] = z_serving
     power = _powers_for(inst, z)
     if np.any(power > inst.pmax * (1 + 1e-9)):
         g, u = np.unravel_index(int(np.argmax(power)), power.shape)
@@ -640,6 +657,20 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
 # integer recovery and enumeration oracle
 # ---------------------------------------------------------------------------
 
+def _integral_solution(inst: RaInstance, z_serving: np.ndarray) -> RaSolution:
+    """z_serving blocks at the serving UAVs; with no served link the whole
+    budget sits at UAV 0."""
+    z = np.zeros(inst.num_uavs)
+    if len(inst.links.ch):
+        z[inst.links.uavs] = z_serving
+    else:
+        z[0] = inst.total_rbs
+    power = _powers_for(inst, z)
+    return RaSolution(z=z, power=power, objective=objective_value(inst, power),
+                      integral=True)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def round_rbs(sol: RaSolution, inst: RaInstance) -> RaSolution:
     """Recover an integer allocation from a continuous solution.
 
@@ -647,89 +678,56 @@ def round_rbs(sol: RaSolution, inst: RaInstance) -> RaSolution:
     remaining blocks one at a time to the UAV whose cost drops the most
     (ties to the lower UAV id). Fails if the result breaks the power cap.
     """
-    pairs = inst.active_pairs()
-    if not pairs:
-        z = np.zeros(inst.num_uavs)
-        z[0] = inst.total_rbs
-        return RaSolution(z=z, power=np.zeros((inst.num_chs, inst.num_uavs)),
-                          objective=0.0, integral=True)
-    terms = _uav_cost_terms(inst)
-    uavs = sorted(terms)
+    links = inst.links
     big_z = inst.total_rbs
-    if len(uavs) > big_z:
+    if not len(links.ch):
+        return _integral_solution(inst, np.zeros(0))
+    if len(links.uavs) > big_z:
         raise InfeasibleInstanceError(
-            f"{len(uavs)} serving UAVs cannot each get a resource block out of {big_z}")
+            f"{len(links.uavs)} serving UAVs cannot each get a resource block out of {big_z}")
 
-    z_int = {u: max(1, min(big_z, math.floor(float(sol.z[u]) + 1e-9))) for u in uavs}
+    z = np.clip(np.floor(sol.z[links.uavs] + 1e-9), 1, big_z)
     # flooring plus the >=1 bump can overshoot the budget; undo the cheapest
-    while sum(z_int.values()) > big_z:
-        candidates = [u for u in uavs if z_int[u] > 1]
-        u_cheapest = min(candidates,
-                         key=lambda u: (_phi(terms[u], z_int[u] - 1) - _phi(terms[u], z_int[u]), u))
-        z_int[u_cheapest] -= 1
-    leftover = big_z - sum(z_int.values())
-    for _ in range(leftover):
-        candidates = [u for u in uavs if z_int[u] < big_z]
-        if not candidates:
-            break
-        u_best = max(candidates,
-                     key=lambda u: (_phi(terms[u], z_int[u]) - _phi(terms[u], z_int[u] + 1), -u))
-        z_int[u_best] += 1
+    while z.sum() > big_z:
+        rise = np.where(z > 1, links.cost(z - 1) - links.cost(z), np.inf)
+        z[np.argmin(rise)] -= 1
+    for _ in range(int(big_z - z.sum())):
+        drop = np.where(z < big_z, links.cost(z) - links.cost(z + 1), -np.inf)
+        z[np.argmax(drop)] += 1
 
-    z = np.zeros(inst.num_uavs)
-    for u, value in z_int.items():
-        z[u] = float(value)
-    power = _powers_for(inst, z)
-    if np.any(power > inst.pmax * (1 + 1e-12)):
-        g, u = np.unravel_index(int(np.argmax(power)), power.shape)
+    rounded = _integral_solution(inst, z)
+    if np.any(rounded.power > inst.pmax * (1 + 1e-12)):
+        g, u = np.unravel_index(int(np.argmax(rounded.power)), rounded.power.shape)
         raise InfeasibleInstanceError(
             f"rounding pushes link (ch={g}, uav={u}) above the power cap",
             ch=int(g), uav=int(u))
-    return RaSolution(z=z, power=power, objective=objective_value(inst, power),
-                      integral=True)
+    return rounded
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def brute_force(inst: RaInstance) -> RaSolution:
     """Exhaustive enumeration over integer allocations (1 <= z_u, sum <= Z).
 
     Only for small instances: Z <= 16 and at most 4 serving UAVs.
     """
-    pairs = inst.active_pairs()
-    if not pairs:
-        z = np.zeros(inst.num_uavs)
-        z[0] = inst.total_rbs
-        return RaSolution(z=z, power=np.zeros((inst.num_chs, inst.num_uavs)),
-                          objective=0.0, integral=True)
-    uavs = inst.active_uavs()
+    links = inst.links
     big_z = inst.total_rbs
-    if big_z > 16 or len(uavs) > 4:
+    n = len(links.uavs)
+    if not n:
+        return _integral_solution(inst, np.zeros(0))
+    if big_z > 16 or n > 4:
         raise ValueError(
             f"enumeration bound exceeded: Z={big_z} (max 16), "
-            f"{len(uavs)} serving UAVs (max 4)")
+            f"{n} serving UAVs (max 4)")
 
-    best: tuple[float, tuple[int, ...]] | None = None
-    for combo in itertools.product(range(1, big_z + 1), repeat=len(uavs)):
-        if sum(combo) > big_z:
-            continue
-        z = np.zeros(inst.num_uavs)
-        for u, value in zip(uavs, combo):
-            z[u] = float(value)
-        try:
-            power = _powers_for(inst, z)
-        except OverflowError:
-            continue
-        if np.any(power > inst.pmax * (1 + 1e-12)):
-            continue
-        obj = objective_value(inst, power)
-        if best is None or obj < best[0]:
-            best = (obj, combo)
-    if best is None:
+    combos = np.array(list(itertools.product(range(1, big_z + 1), repeat=n)), dtype=float)
+    combos = combos[combos.sum(axis=1) <= big_z]
+    power = links.power(combos[:, links.seg])
+    capped = np.all(power <= inst.pmax * (1 + 1e-12), axis=1)
+    if not np.any(capped):
         raise InfeasibleInstanceError("no integer allocation satisfies the power cap")
-    z = np.zeros(inst.num_uavs)
-    for u, value in zip(uavs, best[1]):
-        z[u] = float(value)
-    power = _powers_for(inst, z)
-    return RaSolution(z=z, power=power, objective=best[0], integral=True)
+    objective = np.where(capped, power @ links.weight, np.inf)
+    return _integral_solution(inst, combos[np.argmin(objective)])
 
 
 def write_solution_csv(sol: RaSolution, inst: RaInstance, out) -> None:

@@ -3,7 +3,10 @@
 The random RaInstance family assigns every CH to exactly one serving UAV
 (dwell drawn uniformly, rescaled to respect each UAV's slot budget), with
 per-link gains from random distances in 300..800 m at the default radio
-numerology. Power caps stay slack by construction.
+numerology. At its 1 W cap the power constraints are slack; tests of the
+binding-cap regime lower `pmax` below the optimum's peak link power.
+`split_ch_instance` adds the case the greedy scheduler produces in nearly
+every plan: one CH served by two UAVs.
 """
 
 import numpy as np
@@ -35,6 +38,21 @@ def random_instance(rng, max_uavs=3, max_chs=6, max_rbs=24, packet_bits=100.0,
     return RaInstance(
         dwell=DwellMatrix(entries=dwell), gains=gains,
         packet_bits=packet_bits, rb_bandwidth=15e3, total_rbs=total,
+        noise_psd=1e-20, beta=BETA, pmax=1.0,
+    )
+
+
+def split_ch_instance(total_rbs=12):
+    """Three UAVs over three CHs; CH 0 is split between UAVs 0 and 1."""
+    dwell = np.array([[0.5, 0.0, 0.0],
+                      [0.3, 0.6, 0.0],
+                      [0.0, 0.0, 0.8]])
+    dist = np.array([[400.0, 650.0, 500.0],
+                     [520.0, 450.0, 700.0],
+                     [600.0, 380.0, 550.0]])
+    return RaInstance(
+        dwell=DwellMatrix(entries=dwell), gains=(4 * np.pi * dist / WAVELENGTH) ** -2.5,
+        packet_bits=100.0, rb_bandwidth=15e3, total_rbs=total_rbs,
         noise_psd=1e-20, beta=BETA, pmax=1.0,
     )
 
