@@ -18,9 +18,11 @@ Three independent routes are provided and cross-checked against each other:
   every UAV's RB count at once with a bracketed Newton iteration.
 * `brute_force` - exact enumeration over integer allocations (small sizes).
 
-The reduced route, rounding and the oracle share `RaInstance.links`, one
-array view of the served links (`LinkView`); the KKT route keeps its own
-per-link arithmetic so that the two routes stay independent.
+All routes read `RaInstance.links`, one array view of the served links
+(`LinkView`). The KKT route builds its rescaled residual and analytic
+Jacobian on it (`KktSystem`) and checks every point it returns against the
+scalar `kkt_residuals`; the two routes stay independent because they solve
+different systems (the KKT conditions against an equal-marginal search).
 """
 
 from __future__ import annotations
@@ -99,20 +101,21 @@ class LinkView:
 
     def cost(self, z: np.ndarray) -> np.ndarray:
         """Per serving UAV: dwell-weighted power of its links."""
-        return self._per_uav(self.weight * self.power(z[self.seg]))
+        return self.per_uav(self.weight * self.power(z[self.seg]))
 
     def marginal(self, z: np.ndarray) -> np.ndarray:
         """Per serving UAV: d cost / dz, negative and increasing in z."""
         t = self.c / z[self.seg]
-        return self._per_uav(self.weight * self.coeff * (2.0**t * (1.0 - t * _LN2) - 1.0))
+        return self.per_uav(self.weight * self.coeff * (2.0**t * (1.0 - t * _LN2) - 1.0))
 
     def curvature(self, z: np.ndarray) -> np.ndarray:
         """Per serving UAV: d2 cost / dz2, positive."""
         z_link = z[self.seg]
         t = self.c / z_link
-        return self._per_uav(self.weight * self.coeff * 2.0**t * (t * _LN2) ** 2 / z_link)
+        return self.per_uav(self.weight * self.coeff * 2.0**t * (t * _LN2) ** 2 / z_link)
 
-    def _per_uav(self, per_link: np.ndarray) -> np.ndarray:
+    def per_uav(self, per_link: np.ndarray) -> np.ndarray:
+        """Sum of a per-link quantity over the links of each serving UAV."""
         return np.bincount(self.seg, weights=per_link, minlength=len(self.uavs))
 
 
@@ -245,7 +248,7 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
       2. per served CH:   lam_pmax * (max_u P_gu - pmax)             [n_g]
       3. shared budget:   lam_budget * (sum_u z_u - Z)               [1]
       4. per link: power stationarity
-         total_dwell_g + lam_pmax_g - lam_rate_gu                    [n_p]
+         dwell_ug + lam_pmax_g - lam_rate_gu                         [n_p]
       5. per serving UAV: RB stationarity
          -lam_rb_cap + lam_budget
          + sum_g lam_rate_gu * coeff_gu * rb_term_derivative(c, z_u) [n_u]
@@ -265,7 +268,7 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
             raise ValueError(f"z[{u}] <= 0 makes the delivery term singular")
 
     big_z = float(inst.total_rbs)
-    total_dwell = inst.dwell.total_per_ch()
+    d = inst.dwell.entries
     res: list[float] = []
     for u in uavs:
         res.append(point.lam_rb_cap[u] * (z[u] - big_z))
@@ -274,7 +277,7 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
         res.append(point.lam_pmax[g] * (p_g - inst.pmax))
     res.append(point.lam_budget * (sum(z[u] for u in uavs) - big_z))
     for g, u in pairs:
-        res.append(total_dwell[g] + point.lam_pmax[g] - point.lam_rate[g, u])
+        res.append(d[u, g] + point.lam_pmax[g] - point.lam_rate[g, u])
     for u in uavs:
         acc = -point.lam_rb_cap[u] + point.lam_budget
         for g, uu in pairs:
@@ -325,21 +328,221 @@ def _trivial_solution(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
 def _check_start_feasible(inst: RaInstance) -> float:
     """Raise unless every served link fits under pmax at the even split
     z = Z / (number of serving UAVs); returns the largest such power."""
-    uavs = inst.active_uavs()
-    z0 = inst.total_rbs / len(uavs)
-    p_scale = 0.0
-    for g, u in inst.active_pairs():
-        try:
-            p = inst.pair_power(g, u, z0)
-        except OverflowError:
-            p = math.inf
-        p_scale = max(p_scale, p)
-        if p > inst.pmax:
-            raise InfeasibleInstanceError(
-                f"link (ch={g}, uav={u}) needs {p:.6g} W at z={z0:.6g}, "
-                f"above the {inst.pmax:.6g} W cap", ch=g, uav=u,
-            )
-    return p_scale
+    links = inst.links
+    z0 = inst.total_rbs / len(links.uavs)
+    with np.errstate(over="ignore"):
+        power = links.power(np.full(len(links.ch), z0))
+    hot = np.flatnonzero(power > inst.pmax)
+    if len(hot):
+        g, u, p = int(links.ch[hot[0]]), int(links.uav[hot[0]]), power[hot[0]]
+        raise InfeasibleInstanceError(
+            f"link (ch={g}, uav={u}) needs {p:.6g} W at z={z0:.6g}, "
+            f"above the {inst.pmax:.6g} W cap", ch=g, uav=u,
+        )
+    return float(power.max())
+
+
+def _rate_scale(links: LinkView) -> np.ndarray:
+    """Per link, the expected size of its delivery multiplier: power
+    stationarity with lam_pmax ~ 0 puts lam_rate at the link's dwell."""
+    return links.weight + 1e-6
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _row_scales(inst: RaInstance, z_ref: np.ndarray) -> tuple[np.ndarray, float]:
+    """Magnitude of each RB-stationarity row at z_ref (one entry per serving
+    UAV), and its median; used to put those rows and the budget/cap
+    multipliers on an O(1) footing."""
+    links = inst.links
+    t = links.c / z_ref[links.seg]
+    slope = 2.0**t * (1.0 - t * _LN2) - 1.0
+    rho = links.per_uav(_rate_scale(links) * links.coeff * np.abs(slope))
+    rho = np.where(np.isfinite(rho) & (rho > 0), rho, 1e-300)
+    return rho, float(np.median(rho))
+
+
+class KktSystem:
+    """The optimality system of `kkt_residuals` in the unknowns that
+    `solve_kkt` iterates on, with its analytic Jacobian.
+
+    x stacks, per serving UAV, zt = z / Z; per link, pt = P / p_scale; per
+    serving UAV, s_cap; per served CH, s_pmax; then s_budget; and per link,
+    s_rate. Multipliers are squares of these (lam_rb_cap = sigma_mult *
+    s_cap**2, lam_pmax = s_pmax**2, lam_budget = sigma_mult * s_budget**2,
+    lam_rate = sigma_rate * s_rate**2), so iterates stay sign-feasible. Row
+    k of `residual` is row k of `kkt_residuals` divided by `row_scale[k]`;
+    the RB-stationarity rows are normalized at the RB counts of `center`.
+    Scaling rows and unknowns by positive constants leaves the roots
+    unchanged.
+    """
+
+    def __init__(self, inst: RaInstance, center: KktPoint, p_scale: float):
+        links = self.links = inst.links
+        self.inst = inst
+        self.p_scale = p_scale
+        self.big_z = float(inst.total_rbs)
+        z_ref = np.clip(center.z[links.uavs], Z_MIN_ACTIVE, self.big_z)
+        self.rho, self.sigma_mult = _row_scales(inst, z_ref)
+        self.sigma_rate = _rate_scale(links)
+        # links come ch-major, so each served CH owns one contiguous run
+        first = np.r_[True, np.diff(links.ch) != 0]
+        self.ch_start = np.flatnonzero(first)
+        self.chs = links.ch[self.ch_start]
+        self.ch_seg = np.cumsum(first) - 1
+        n_u, n_p, n_g = len(links.uavs), len(links.ch), len(self.chs)
+        self.cols = np.cumsum([0, n_u, n_p, n_u, n_g, 1])  # block starts in x
+        self._blocks = [slice(a, b) for a, b in zip(self.cols, [*self.cols[1:], None])]
+        self.rows = np.cumsum([0, n_u, n_g, 1, n_p, n_u])  # block starts in r
+        self.size = 2 * n_u + 2 * n_p + n_g + 1
+
+    @property
+    def row_scale(self) -> np.ndarray:
+        """Per row, the factor that turns `residual` into `kkt_residuals`."""
+        n_u, n_g = len(self.links.uavs), len(self.chs)
+        return np.concatenate([
+            np.full(n_u, self.sigma_mult * self.big_z), np.full(n_g, self.inst.pmax),
+            [self.sigma_mult * self.big_z], self.links.weight, self.rho,
+            self.p_scale * self.sigma_rate,
+        ])
+
+    def _split(self, x: np.ndarray):
+        zt, pt, s_cap, s_pmax, s_budget, s_rate = (x[b] for b in self._blocks)
+        return zt, pt, s_cap, s_pmax, s_budget[0], s_rate
+
+    def _link_terms(self, zt: np.ndarray):
+        """Per link at z = zt * Z: required power, its z-slope over coeff
+        (`rb_term_derivative`) and that slope's z-derivative."""
+        links = self.links
+        z_link = zt[links.seg] * self.big_z
+        t = links.c / z_link
+        e = 2.0**t
+        req = links.coeff * (e - 1.0) * z_link
+        slope = e * (1.0 - t * _LN2) - 1.0
+        bend = e * (t * _LN2) ** 2 / z_link
+        return req, slope, bend
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
+        if zt.min() <= 1e-9 or zt.max() > 10.0:
+            return np.full(self.size, np.inf)  # far off the feasible region; reject the step
+        links, inst, p_scale = self.links, self.inst, self.p_scale
+        req, slope, _ = self._link_terms(zt)
+        lam_rate = self.sigma_rate * s_rate**2
+        res = np.concatenate([
+            s_cap**2 * (zt - 1.0),
+            s_pmax**2 * (np.maximum.reduceat(pt, self.ch_start) * p_scale - inst.pmax) / inst.pmax,
+            [s_budget**2 * (float(np.sum(zt)) - 1.0)],
+            (links.weight + s_pmax[self.ch_seg] ** 2 - lam_rate) / links.weight,
+            (self.sigma_mult * (s_budget**2 - s_cap**2)
+             + links.per_uav(lam_rate * links.coeff * slope)) / self.rho,
+            s_rate**2 * (req - pt * p_scale) / p_scale,
+        ])
+        return res if np.all(np.isfinite(res)) else np.full(self.size, np.inf)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
+        links, inst, p_scale, rho = self.links, self.inst, self.p_scale, self.rho
+        req, slope, bend = self._link_terms(zt)
+        seg, ch_seg, w = links.seg, self.ch_seg, links.weight
+        iu, ig, ip = np.arange(len(zt)), np.arange(len(s_pmax)), np.arange(len(pt))
+        top = np.maximum.reduceat(pt, self.ch_start)
+        first = np.minimum.reduceat(np.where(pt == top[ch_seg], ip, len(pt)), self.ch_start)
+        cz, cp, cc, cg, cb, cr = self.cols
+        r_cap, r_pmax, r_budget, r_stat_p, r_stat_z, r_rate = self.rows
+        jac = np.zeros((self.size, self.size))
+        # 1. s_cap**2 * (zt - 1)
+        jac[r_cap + iu, cz + iu] = s_cap**2
+        jac[r_cap + iu, cc + iu] = 2.0 * s_cap * (zt - 1.0)
+        # 2. s_pmax**2 * (max_k pt_k * p_scale - pmax) / pmax; the max moves
+        # with the first of the CH's links that reaches it
+        jac[r_pmax + ig, cp + first] = s_pmax**2 * p_scale / inst.pmax
+        jac[r_pmax + ig, cg + ig] = 2.0 * s_pmax * (top * p_scale - inst.pmax) / inst.pmax
+        # 3. s_budget**2 * (sum zt - 1)
+        jac[r_budget, cz + iu] = s_budget**2
+        jac[r_budget, cb] = 2.0 * s_budget * (float(np.sum(zt)) - 1.0)
+        # 4. (w + s_pmax**2 - sigma_rate * s_rate**2) / w
+        jac[r_stat_p + ip, cg + ch_seg] = 2.0 * s_pmax[ch_seg] / w
+        jac[r_stat_p + ip, cr + ip] = -2.0 * self.sigma_rate * s_rate / w
+        # 5. (sigma_mult * (s_budget**2 - s_cap**2)
+        #     + sum_k sigma_rate * s_rate**2 * coeff * slope(Z zt)) / rho
+        jac[r_stat_z + iu, cb] = 2.0 * self.sigma_mult * s_budget / rho
+        jac[r_stat_z + iu, cc + iu] = -2.0 * self.sigma_mult * s_cap / rho
+        jac[r_stat_z + seg, cr + ip] = 2.0 * self.sigma_rate * s_rate * links.coeff * slope / rho[seg]
+        jac[r_stat_z + iu, cz + iu] = links.per_uav(
+            self.sigma_rate * s_rate**2 * links.coeff * bend) * self.big_z / rho
+        # 6. s_rate**2 * (req(Z zt) - pt * p_scale) / p_scale
+        jac[r_rate + ip, cz + seg] = s_rate**2 * links.coeff * slope * self.big_z / p_scale
+        jac[r_rate + ip, cp + ip] = -s_rate**2
+        jac[r_rate + ip, cr + ip] = 2.0 * s_rate * (req - pt * p_scale) / p_scale
+        return jac
+
+    def decode(self, x: np.ndarray) -> KktPoint:
+        zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
+        links, inst = self.links, self.inst
+        z = np.zeros(inst.num_uavs)
+        lam_rb_cap = np.zeros(inst.num_uavs)
+        z[links.uavs] = zt * self.big_z
+        lam_rb_cap[links.uavs] = self.sigma_mult * s_cap**2
+        power = np.zeros((inst.num_chs, inst.num_uavs))
+        lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
+        power[links.ch, links.uav] = pt * self.p_scale
+        lam_rate[links.ch, links.uav] = self.sigma_rate * s_rate**2
+        lam_pmax = np.zeros(inst.num_chs)
+        lam_pmax[self.chs] = s_pmax**2
+        return KktPoint(z=z, power=power, lam_rb_cap=lam_rb_cap, lam_pmax=lam_pmax,
+                        lam_budget=self.sigma_mult * s_budget**2, lam_rate=lam_rate)
+
+    def encode(self, point: KktPoint) -> np.ndarray:
+        links = self.links
+        return np.concatenate([
+            np.clip(point.z[links.uavs], Z_MIN_ACTIVE, 9.0 * self.big_z) / self.big_z,
+            point.power[links.ch, links.uav] / self.p_scale,
+            np.sqrt(np.maximum(point.lam_rb_cap[links.uavs], 0.0) / self.sigma_mult),
+            np.sqrt(np.maximum(point.lam_pmax[self.chs], 0.0)),
+            [math.sqrt(max(point.lam_budget, 0.0) / self.sigma_mult)],
+            np.sqrt(np.maximum(point.lam_rate[links.ch, links.uav], 0.0) / self.sigma_rate),
+        ])
+
+
+def _initial_point(inst: RaInstance, z_serving: np.ndarray, lam_budget: float) -> KktPoint:
+    """Tight delivery powers at z_serving blocks per serving UAV, delivery
+    multipliers at their expected sizes and the other multipliers near 0."""
+    links = inst.links
+    z = np.zeros(inst.num_uavs)
+    z[links.uavs] = z_serving
+    lam_rb_cap = np.zeros(inst.num_uavs)
+    lam_rb_cap[links.uavs] = 1e-6
+    lam_pmax = np.zeros(inst.num_chs)
+    lam_pmax[links.ch] = 1e-6
+    lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
+    lam_rate[links.ch, links.uav] = _rate_scale(links)
+    return KktPoint(z=z, power=_powers_for(inst, z), lam_rb_cap=lam_rb_cap,
+                    lam_pmax=lam_pmax, lam_budget=lam_budget, lam_rate=lam_rate)
+
+
+def _kkt_starts(inst: RaInstance, init: KktPoint | None) -> list[KktPoint]:
+    """Start points of `solve_kkt`, in the order tried: the RB counts of
+    `init` if given, the even split, a small-exponent warm start, and the
+    even split halved and quartered."""
+    links = inst.links
+    big_z = float(inst.total_rbs)
+    z_even = big_z / len(links.uavs)
+    # small-exponent approximation: per-UAV cost ~ const + K/z, so equalized
+    # marginal costs put z proportional to sqrt(K); a strong warm start
+    # whenever packets are far from saturating their links
+    k_load = np.maximum(
+        links.per_uav(_rate_scale(links) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300)
+    warm = np.maximum(big_z * np.sqrt(k_load) / np.sum(np.sqrt(k_load)), Z_MIN_ACTIVE)
+    starts = []
+    if init is not None:
+        starts.append((np.maximum(init.z[links.uavs], Z_MIN_ACTIVE), 1e-6))
+    starts.append((np.full(len(links.uavs), z_even), 1e-6))
+    starts.append((warm, _row_scales(inst, warm)[1]))
+    for factor in (0.5, 0.25):
+        starts.append((np.full(len(links.uavs), max(z_even * factor, Z_MIN_ACTIVE)), 1e-6))
+    return [_initial_point(inst, z, lam_budget) for z, lam_budget in starts]
 
 
 def solve_kkt(
@@ -349,167 +552,21 @@ def solve_kkt(
 ) -> tuple[RaSolution, KktPoint]:
     """Solve the optimality system by Levenberg-Marquardt root finding.
 
-    Multipliers are parameterized as squares so iterates stay sign-feasible;
-    internally rows and variables are rescaled to comparable magnitudes
-    (which leaves the roots unchanged). The returned point satisfies
-    ||kkt_residuals|| <= 1e-8 and feasibility within 1e-9, else a
-    SolverConvergenceError reports the best residual norm reached.
+    Iterates on the rescaled unknowns of `KktSystem` with its analytic
+    Jacobian. The returned point satisfies ||kkt_residuals|| <= 1e-8 and
+    feasibility within 1e-9, else a SolverConvergenceError reports the best
+    residual norm reached.
     """
-    pairs = inst.active_pairs()
-    if not pairs:
+    if not len(inst.links.ch):
         return _trivial_solution(inst)
-    uavs = inst.active_uavs()
-    chs = inst.served_chs()
-    n_u, n_g, n_p = len(uavs), len(chs), len(pairs)
-    big_z = float(inst.total_rbs)
-    total_dwell = inst.dwell.total_per_ch()
     p_scale = _check_start_feasible(inst)
     cfg = config or lma.LmaConfig()
 
-    pair_const = [inst.pair_constants(g, u) for g, u in pairs]
-    sigma_rate = np.array([total_dwell[g] + 1e-6 for g, _ in pairs])
-    uav_index = {u: i for i, u in enumerate(uavs)}
-    ch_index = {g: j for j, g in enumerate(chs)}
-    pairs_of_uav = [[kk for kk, (_, uu) in enumerate(pairs) if uu == u] for u in uavs]
-    pairs_of_ch = [[kk for kk, (gg, _) in enumerate(pairs) if gg == g] for g in chs]
-    n_vars = 2 * n_u + 2 * n_p + n_g + 1
-    bad = np.full(n_vars, np.inf)
-
-    def build_scales(z_ref: np.ndarray) -> tuple[np.ndarray, float]:
-        """Magnitude of each RB-stationarity row near z_ref; used to put those
-        rows and the budget/cap multipliers on an O(1) footing. Scaling rows
-        and multipliers by positive constants leaves the roots unchanged."""
-        rho = np.empty(n_u)
-        for i in range(n_u):
-            acc = 0.0
-            for kk in pairs_of_uav[i]:
-                c, coeff = pair_const[kk]
-                acc += sigma_rate[kk] * coeff * abs(rb_term_derivative(c, float(z_ref[i])))
-            rho[i] = acc if math.isfinite(acc) and acc > 0 else 1e-300
-        return rho, float(np.median(rho))
-
-    def make_system(rho: np.ndarray, sigma_mult: float):
-        def scaled_residuals(x: np.ndarray) -> np.ndarray:
-            zt = x[:n_u]
-            if np.any(zt <= 1e-9) or np.any(zt > 10.0):
-                return bad  # far off the feasible region; reject the step
-            pt = x[n_u:n_u + n_p]
-            s_cap = x[n_u + n_p:2 * n_u + n_p]
-            s_pmax = x[2 * n_u + n_p:2 * n_u + n_p + n_g]
-            s_budget = x[2 * n_u + n_p + n_g]
-            s_rate = x[2 * n_u + n_p + n_g + 1:]
-            try:
-                res = np.empty(n_vars)
-                k = 0
-                for i in range(n_u):
-                    res[k] = s_cap[i] ** 2 * (zt[i] - 1.0)
-                    k += 1
-                for j in range(n_g):
-                    p_g = max(pt[kk] for kk in pairs_of_ch[j]) * p_scale
-                    res[k] = s_pmax[j] ** 2 * (p_g - inst.pmax) / inst.pmax
-                    k += 1
-                res[k] = s_budget ** 2 * (float(np.sum(zt)) - 1.0)
-                k += 1
-                for kk, (g, u) in enumerate(pairs):
-                    lam6 = sigma_rate[kk] * s_rate[kk] ** 2
-                    res[k] = (total_dwell[g] + s_pmax[ch_index[g]] ** 2 - lam6) / total_dwell[g]
-                    k += 1
-                for i in range(n_u):
-                    z_u = zt[i] * big_z
-                    acc = sigma_mult * (s_budget ** 2 - s_cap[i] ** 2)
-                    for kk in pairs_of_uav[i]:
-                        c, coeff = pair_const[kk]
-                        acc += (sigma_rate[kk] * s_rate[kk] ** 2 * coeff
-                                * rb_term_derivative(c, z_u))
-                    res[k] = acc / rho[i]
-                    k += 1
-                for kk, (g, u) in enumerate(pairs):
-                    z_u = zt[uav_index[u]] * big_z
-                    req = inst.pair_power(g, u, z_u)
-                    res[k] = s_rate[kk] ** 2 * (req - pt[kk] * p_scale) / p_scale
-                    k += 1
-            except OverflowError:
-                return bad
-            return res if np.all(np.isfinite(res)) else bad
-
-        def decode(x: np.ndarray) -> KktPoint:
-            z = np.zeros(inst.num_uavs)
-            power = np.zeros((inst.num_chs, inst.num_uavs))
-            lam_rb_cap = np.zeros(inst.num_uavs)
-            lam_pmax = np.zeros(inst.num_chs)
-            lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
-            for i, u in enumerate(uavs):
-                z[u] = x[i] * big_z
-                lam_rb_cap[u] = sigma_mult * x[n_u + n_p + i] ** 2
-            for kk, (g, u) in enumerate(pairs):
-                power[g, u] = x[n_u + kk] * p_scale
-                lam_rate[g, u] = sigma_rate[kk] * x[2 * n_u + n_p + n_g + 1 + kk] ** 2
-            for j, g in enumerate(chs):
-                lam_pmax[g] = x[2 * n_u + n_p + j] ** 2
-            lam_budget = sigma_mult * x[2 * n_u + n_p + n_g] ** 2
-            return KktPoint(z=z, power=power, lam_rb_cap=lam_rb_cap, lam_pmax=lam_pmax,
-                            lam_budget=lam_budget, lam_rate=lam_rate)
-
-        def encode(point: KktPoint) -> np.ndarray:
-            x = np.empty(n_vars)
-            for i, u in enumerate(uavs):
-                x[i] = min(max(float(point.z[u]), Z_MIN_ACTIVE), 9.0 * big_z) / big_z
-                x[n_u + n_p + i] = math.sqrt(max(point.lam_rb_cap[u], 0.0) / sigma_mult)
-            for kk, (g, u) in enumerate(pairs):
-                x[n_u + kk] = float(point.power[g, u]) / p_scale
-                x[2 * n_u + n_p + n_g + 1 + kk] = math.sqrt(
-                    max(point.lam_rate[g, u], 0.0) / sigma_rate[kk])
-            for j, g in enumerate(chs):
-                x[2 * n_u + n_p + j] = math.sqrt(max(point.lam_pmax[g], 0.0))
-            x[2 * n_u + n_p + n_g] = math.sqrt(max(point.lam_budget, 0.0) / sigma_mult)
-            return x
-
-        return scaled_residuals, decode, encode
-
-    def initial_point(z_active: np.ndarray, lam_budget: float) -> KktPoint:
-        z = np.zeros(inst.num_uavs)
-        power = np.zeros((inst.num_chs, inst.num_uavs))
-        lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
-        lam_pmax = np.zeros(inst.num_chs)
-        lam_rb_cap = np.zeros(inst.num_uavs)
-        for i, u in enumerate(uavs):
-            z[u] = float(z_active[i])
-            lam_rb_cap[u] = 1e-6
-        for g, u in pairs:
-            power[g, u] = inst.pair_power(g, u, float(z[u]))
-            # power stationarity with lam_pmax ~ 0 puts lam_rate at total dwell
-            lam_rate[g, u] = total_dwell[g] + 1e-6
-        for g in chs:
-            lam_pmax[g] = 1e-6
-        return KktPoint(z=z, power=power, lam_rb_cap=lam_rb_cap, lam_pmax=lam_pmax,
-                        lam_budget=lam_budget, lam_rate=lam_rate)
-
-    z_even = big_z / n_u
-    # small-exponent approximation: per-UAV cost ~ const + K/z, so equalized
-    # marginal costs put z proportional to sqrt(K); a strong warm start
-    # whenever packets are far from saturating their links
-    k_load = np.empty(n_u)
-    for i in range(n_u):
-        acc = 0.0
-        for kk in pairs_of_uav[i]:
-            c, coeff = pair_const[kk]
-            acc += sigma_rate[kk] * coeff * (c * _LN2) ** 2 / 2.0
-        k_load[i] = max(acc, 1e-300)
-    warm = np.maximum(big_z * np.sqrt(k_load) / np.sum(np.sqrt(k_load)), Z_MIN_ACTIVE)
-
-    starts: list[tuple[np.ndarray, float]] = []
-    if init is not None:
-        starts.append((np.array([max(float(init.z[u]), Z_MIN_ACTIVE) for u in uavs]), 1e-6))
-    starts.append((np.full(n_u, z_even), 1e-6))
-    starts.append((warm, build_scales(warm)[1]))
-    for factor in (0.5, 0.25):
-        starts.append((np.full(n_u, max(z_even * factor, Z_MIN_ACTIVE)), 1e-6))
-
-    def attempt(point0: KktPoint, z_ref: np.ndarray) -> tuple[KktPoint, float]:
-        rho, sigma_mult = build_scales(z_ref)
-        scaled, decode, encode = make_system(rho, sigma_mult)
-        result = lma.solve(scaled, encode(point0), cfg)
-        point = decode(result.solution)
+    def attempt(point0: KktPoint) -> tuple[KktPoint, float]:
+        system = KktSystem(inst, point0, p_scale)
+        result = lma.solve(system.residual, system.encode(point0), cfg,
+                           jacobian=system.jacobian)
+        point = system.decode(result.solution)
         point.accepted_costs = result.accepted_costs
         try:
             raw = kkt_residuals(point, inst)
@@ -525,8 +582,8 @@ def solve_kkt(
         return None
 
     best_norm = math.inf
-    for z_start, lam5 in starts:
-        point, raw_norm = attempt(initial_point(z_start, lam5), z_start)
+    for start in _kkt_starts(inst, init):
+        point, raw_norm = attempt(start)
         best_norm = min(best_norm, raw_norm)
         done = accept(point, raw_norm)
         if done:
@@ -536,8 +593,7 @@ def solve_kkt(
         for _ in range(3):
             if not math.isfinite(raw_norm):
                 break
-            z_now = np.array([min(max(float(point.z[u]), Z_MIN_ACTIVE), big_z) for u in uavs])
-            point2, norm2 = attempt(point, z_now)
+            point2, norm2 = attempt(point)
             best_norm = min(best_norm, norm2)
             done = accept(point2, norm2)
             if done:

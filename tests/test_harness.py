@@ -2,9 +2,10 @@ import dataclasses
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from uavm2m import harness
+from uavm2m import harness, raopt
 from uavm2m.model import RadioParams, UavFleet, generate_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,6 +50,20 @@ def test_pipeline_solver_modes_agree_on_single_server_plans():
     # where the kkt and reduced routes solve the identical system
     scenario = generate_scenario(13, 2, 10, 10, _radio(total_rbs=12))
     both = harness.run_pipeline(scenario, seed=13, solver="both")
+    assert both.kkt_objective_w == pytest.approx(both.continuous.objective, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed,clusters,rbs", [
+    (1017319567, 9, 24), (717772468, 10, 24), (1528723634, 7, 24), (1431454342, 9, 24),
+])
+def test_pipeline_kkt_solves_split_ch_plans(seed, clusters, rbs):
+    # plans that split CHs across UAVs, on which the KKT route once failed to
+    # converge: it must reach a verified point at the reduced optimum
+    scenario = generate_scenario(seed, clusters, 1, 10, _radio(total_rbs=rbs))
+    both = harness.run_pipeline(scenario, seed=seed, solver="both")
+    point, inst = both.kkt_point, both.instance
+    assert np.linalg.norm(raopt.kkt_residuals(point, inst)) <= 1e-8
+    assert raopt.max_feasibility_violation(inst, point) <= 1e-9
     assert both.kkt_objective_w == pytest.approx(both.continuous.objective, rel=1e-6)
 
 

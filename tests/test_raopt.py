@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from uavm2m import channel, raopt
+from uavm2m import channel, lma, raopt
 from uavm2m.model import DwellMatrix
 
 from conftest import BETA, WAVELENGTH, random_instance, single_link_instance, split_ch_instance
@@ -39,17 +39,19 @@ def _zeroed_point(inst, z_value):
 
 
 def test_residuals_with_zero_multipliers_reduce_to_dwell_totals(rng):
-    inst = random_instance(rng, max_uavs=3, max_chs=5)
-    point = _zeroed_point(inst, z_value=inst.total_rbs / 2)
-    res = raopt.kkt_residuals(point, inst)
-    _, _, _, stat_p, stat_z, rate, end = _kkt_block_offsets(inst)
-    totals = inst.dwell.total_per_ch()
-    for k, (g, u) in enumerate(inst.active_pairs()):
-        assert res[stat_p + k] == pytest.approx(totals[g], rel=1e-12)
-    # every product block vanishes with zero multipliers
-    assert np.all(res[:stat_p] == 0)
-    assert np.all(res[stat_z:stat_z + len(inst.active_uavs())] == 0)
-    assert np.all(res[rate:end] == 0)
+    # power stationarity prices each link at its own dwell, which on the
+    # split CH is less than the CH's total
+    for inst in [random_instance(rng, max_uavs=3, max_chs=5), split_ch_instance()]:
+        point = _zeroed_point(inst, z_value=inst.total_rbs / 2)
+        res = raopt.kkt_residuals(point, inst)
+        _, _, _, stat_p, stat_z, rate, end = _kkt_block_offsets(inst)
+        d = inst.dwell.entries
+        for k, (g, u) in enumerate(inst.active_pairs()):
+            assert res[stat_p + k] == pytest.approx(d[u, g], rel=1e-12)
+        # every product block vanishes with zero multipliers
+        assert np.all(res[:stat_p] == 0)
+        assert np.all(res[stat_z:stat_z + len(inst.active_uavs())] == 0)
+        assert np.all(res[rate:end] == 0)
 
 
 def test_residual_linear_in_delivery_slack():
@@ -147,13 +149,48 @@ def test_solver_cross_agreement_sample(rng):
         assert sol_k.objective == pytest.approx(sol_r.objective, rel=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="solve_kkt weights every link of a CH by the CH's "
-                   "total dwell in power stationarity, not by the link's own dwell")
 def test_solver_cross_agreement_split_ch():
     inst = split_ch_instance()
     sol_k, _ = raopt.solve_kkt(inst)
     sol_r = raopt.solve_reduced(inst)
     assert sol_k.objective == pytest.approx(sol_r.objective, rel=1e-6)
+
+
+def _kkt_iterates(rng):
+    """(system, x) at every start of `solve_kkt` and at the final LM iterate
+    from it, on the split-CH instance and 30 random ones."""
+    for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
+        p_scale = raopt._check_start_feasible(inst)
+        for start in raopt._kkt_starts(inst, None):
+            system = raopt.KktSystem(inst, start, p_scale)
+            x0 = system.encode(start)
+            yield system, x0
+            yield system, lma.solve(system.residual, x0, jacobian=system.jacobian).solution
+
+
+def test_kkt_jacobian_matches_central_differences(rng):
+    # a relative step of 1e-5 keeps both the truncation error and the
+    # rounding noise of the near-cancelling delivery rows below 1e-5 of the
+    # largest entry
+    for system, x in _kkt_iterates(rng):
+        jac = system.jacobian(x)
+        numeric = np.empty_like(jac)
+        for i in range(x.size):
+            h = 1e-5 * max(abs(x[i]), 1.0)
+            step = np.zeros_like(x)
+            step[i] = h
+            numeric[:, i] = (system.residual(x + step) - system.residual(x - step)) / (2 * h)
+        assert np.abs(jac - numeric).max() <= 1e-4 * np.abs(jac).max()
+
+
+def test_scaled_kkt_residual_matches_scalar_reference(rng):
+    # every term is O(1) or smaller (dwells, multipliers near dwell, powers
+    # under the 1 W cap), so a reordered sum moves a row by a few 1e-16
+    for system, x in _kkt_iterates(rng):
+        point = system.decode(x)
+        np.testing.assert_allclose(system.residual(x) * system.row_scale,
+                                   raopt.kkt_residuals(point, system.inst),
+                                   rtol=1e-9, atol=1e-14)
 
 
 def test_reduced_solves_instances_with_binding_caps(rng):
