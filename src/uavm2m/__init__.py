@@ -52,6 +52,6 @@ from .raopt import (
     solve_kkt,
     solve_reduced,
 )
-from .scheduler import StabilityPlan, find_dwell, min_uavs, verify_plan
+from .scheduler import StabilityPlan, find_dwell, min_uavs, plan_min_fleet, verify_plan
 
 __version__ = "0.1.0"

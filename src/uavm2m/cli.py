@@ -139,27 +139,18 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "plan":
         scenario = _load(args.scenario)
-        rates = queueing.arrival_rates(scenario)
-        u_min = scheduler.min_uavs(rates, args.mu)
-        plan = scheduler.find_dwell(rates, u_min, args.mu, slack_target=args.slack_target)
-        if plan is None:
-            print(f"infeasible: demand needs more than {u_min} UAVs with the "
-                  f"requested slack", file=sys.stderr)
-            return 1
+        plan = scheduler.plan_min_fleet(queueing.arrival_rates(scenario), args.mu,
+                                        args.slack_target)
         buf = io.StringIO()
         scheduler.write_plan_csv(plan, buf)
         _write_out(buf.getvalue(), args.out)
-        print(f"u_min={u_min}", file=sys.stderr)
+        print(f"u_min={plan.uav_count}", file=sys.stderr)
         return 0
 
     if args.command == "simulate":
         scenario = _load(args.scenario)
-        rates = queueing.arrival_rates(scenario)
-        u_min = scheduler.min_uavs(rates, args.mu)
-        plan = scheduler.find_dwell(rates, u_min, args.mu, slack_target=args.slack_target)
-        if plan is None:
-            print("infeasible plan", file=sys.stderr)
-            return 1
+        plan = scheduler.plan_min_fleet(queueing.arrival_rates(scenario), args.mu,
+                                        args.slack_target)
         trace = queueing.simulate(scenario, plan.dwell, service_rate=args.mu,
                                   horizon=args.horizon, seed=args.seed,
                                   integer_service=args.integer_service)

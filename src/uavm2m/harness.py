@@ -31,10 +31,13 @@ class PipelineResult:
     fleet: UavFleet
     instance: raopt.RaInstance
     continuous: raopt.RaSolution
-    rounded: raopt.RaSolution | None  # None when u_min exceeds the RB budget
-    avg_power_w: float          # time-averaged transmit power per served CH
+    rounded: raopt.RaSolution | None  # None when `round_rbs` fails, e.g. u_min > RB budget
+    # from the continuous optimum: time-averaged transmit power per served CH
+    avg_power_w: float
+    # from the rounded allocation when rounding ran, else the continuous one
     avg_rbs_per_uav: float
-    energy_per_slot_j: float    # objective * slot duration
+    # from the continuous optimum: objective * slot duration
+    energy_per_slot_j: float
     kkt_objective_w: float | None = None  # set when solver includes the kkt route
     kkt_point: raopt.KktPoint | None = None
 
@@ -100,14 +103,10 @@ def run_pipeline(
     rates = queueing.arrival_rates(scenario)
 
     try:
-        # the fleet must carry the demand including any stability margin
-        effective = rates + np.where(rates > 0, slack_target, 0.0)
-        u_min = scheduler.min_uavs(effective, mu)
-        plan = scheduler.find_dwell(rates, u_min, mu, slack_target=slack_target)
-        if plan is None:  # same demand as the min_uavs search, cannot happen
-            raise RuntimeError(f"no dwell plan at {u_min} UAVs")
+        plan = scheduler.plan_min_fleet(rates, mu, slack_target)
     except Exception as exc:
         raise RuntimeError(f"scheduler stage failed: {exc}") from exc
+    u_min = plan.uav_count
 
     fleet = _fleet_for(scenario, u_min, seed, alt_range)
     inst = build_instance(scenario, plan, fleet)

@@ -10,8 +10,10 @@ within its dwell time, minimizing the dwell-weighted total power
 Three independent routes are provided and cross-checked against each other:
 
 * `solve_kkt`   - assembles the first-order optimality system of the relaxed
-  convex program (power-delivery constraints tight, multipliers nonnegative)
-  and solves it as a nonlinear root-finding problem with Levenberg-Marquardt.
+  convex program (power-delivery constraints tight, one power cap per link,
+  multipliers nonnegative) and solves it as a nonlinear root-finding problem
+  with Levenberg-Marquardt, once from each of a short list of starts that
+  keep the caps.
 * `solve_reduced` - eliminates powers through the tight delivery constraint
   and minimizes the remaining separable convex function of z by bisecting on
   the shared multiplier that equalizes per-UAV marginal costs, solving for
@@ -23,6 +25,7 @@ All routes read `RaInstance.links`, one array view of the served links
 Jacobian on it (`KktSystem`) and checks every point it returns against the
 scalar `kkt_residuals`; the two routes stay independent because they solve
 different systems (the KKT conditions against an equal-marginal search).
+Both decide feasibility the same way, from the per-UAV cap floors.
 """
 
 from __future__ import annotations
@@ -167,9 +170,6 @@ class RaInstance:
     def active_uavs(self) -> list[int]:
         return self.links.uavs.tolist()
 
-    def served_chs(self) -> list[int]:
-        return sorted(set(self.links.ch.tolist()))
-
     def pair_constants(self, g: int, u: int) -> tuple[float, float]:
         """(c, coeff) with required power = coeff * (2**(c/z) - 1) * z."""
         k = np.flatnonzero((self.links.ch == g) & (self.links.uav == u))[0]
@@ -196,8 +196,9 @@ class KktPoint:
     """Primal allocation plus the multipliers of the optimality system.
 
     Multiplier names follow the constraint they price: `lam_rb_cap[u]` for
-    z_u <= Z, `lam_pmax[g]` for the CH power cap, `lam_budget` for
-    sum_u z_u <= Z, and `lam_rate[g, u]` for the packet-delivery constraint.
+    z_u <= Z, `lam_pmax[g, u]` for the link power cap P_gu <= pmax,
+    `lam_budget` for sum_u z_u <= Z, and `lam_rate[g, u]` for the
+    packet-delivery constraint.
     """
 
     z: np.ndarray
@@ -241,14 +242,14 @@ def _powers_for(inst: RaInstance, z: np.ndarray) -> np.ndarray:
 def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
     """Residual vector of the first-order optimality system.
 
-    Stacked in this order (`n_u` serving UAVs, `n_g` served CHs, `n_p`
-    served links in ch-major order):
+    Stacked in this order (`n_u` serving UAVs, `n_p` served links in
+    ch-major order):
 
       1. per serving UAV: lam_rb_cap * (z_u - Z)                     [n_u]
-      2. per served CH:   lam_pmax * (max_u P_gu - pmax)             [n_g]
+      2. per link:        lam_pmax_gu * (P_gu - pmax)                [n_p]
       3. shared budget:   lam_budget * (sum_u z_u - Z)               [1]
       4. per link: power stationarity
-         dwell_ug + lam_pmax_g - lam_rate_gu                         [n_p]
+         dwell_ug + lam_pmax_gu - lam_rate_gu                        [n_p]
       5. per serving UAV: RB stationarity
          -lam_rb_cap + lam_budget
          + sum_g lam_rate_gu * coeff_gu * rb_term_derivative(c, z_u) [n_u]
@@ -258,7 +259,6 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
     """
     pairs = inst.active_pairs()
     uavs = inst.active_uavs()
-    chs = inst.served_chs()
     z = np.asarray(point.z, dtype=float)
     power = np.asarray(point.power, dtype=float)
     if z.shape != (inst.num_uavs,) or power.shape != (inst.num_chs, inst.num_uavs):
@@ -272,12 +272,11 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
     res: list[float] = []
     for u in uavs:
         res.append(point.lam_rb_cap[u] * (z[u] - big_z))
-    for g in chs:
-        p_g = max(power[g, uu] for gg, uu in pairs if gg == g)
-        res.append(point.lam_pmax[g] * (p_g - inst.pmax))
+    for g, u in pairs:
+        res.append(point.lam_pmax[g, u] * (power[g, u] - inst.pmax))
     res.append(point.lam_budget * (sum(z[u] for u in uavs) - big_z))
     for g, u in pairs:
-        res.append(d[u, g] + point.lam_pmax[g] - point.lam_rate[g, u])
+        res.append(d[u, g] + point.lam_pmax[g, u] - point.lam_rate[g, u])
     for u in uavs:
         acc = -point.lam_rb_cap[u] + point.lam_budget
         for g, uu in pairs:
@@ -301,12 +300,11 @@ def max_feasibility_violation(inst: RaInstance, point: KktPoint) -> float:
         worst = max(worst, point.power[g, u] - inst.pmax)
         worst = max(worst, -point.power[g, u])
         worst = max(worst, -point.lam_rate[g, u])
+        worst = max(worst, -point.lam_pmax[g, u])
     for u in uavs:
         worst = max(worst, point.z[u] - inst.total_rbs)
         worst = max(worst, -point.z[u])
         worst = max(worst, -point.lam_rb_cap[u])
-    for g in inst.served_chs():
-        worst = max(worst, -point.lam_pmax[g])
     worst = max(worst, sum(float(point.z[u]) for u in uavs) - inst.total_rbs)
     worst = max(worst, -point.lam_budget)
     return float(worst)
@@ -318,28 +316,44 @@ def _trivial_solution(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     power = np.zeros((inst.num_chs, inst.num_uavs))
     point = KktPoint(
         z=z, power=power,
-        lam_rb_cap=np.zeros(inst.num_uavs), lam_pmax=np.zeros(inst.num_chs),
+        lam_rb_cap=np.zeros(inst.num_uavs), lam_pmax=np.zeros((inst.num_chs, inst.num_uavs)),
         lam_budget=0.0, lam_rate=np.zeros((inst.num_chs, inst.num_uavs)),
         residuals=np.zeros(0),
     )
     return RaSolution(z=z, power=power, objective=0.0), point
 
 
-def _check_start_feasible(inst: RaInstance) -> float:
-    """Raise unless every served link fits under pmax at the even split
-    z = Z / (number of serving UAVs); returns the largest such power."""
+@np.errstate(over="ignore")
+def _cap_floors(inst: RaInstance) -> np.ndarray:
+    """Per serving UAV, the smallest z keeping all its links within pmax:
+    bisection on every link's power at once. Both routes decide feasibility
+    here: the instance is feasible iff every link meets the cap at z = Z and
+    the floors fit in the budget; otherwise InfeasibleInstanceError."""
     links = inst.links
-    z0 = inst.total_rbs / len(links.uavs)
-    with np.errstate(over="ignore"):
-        power = links.power(np.full(len(links.ch), z0))
-    hot = np.flatnonzero(power > inst.pmax)
-    if len(hot):
-        g, u, p = int(links.ch[hot[0]]), int(links.uav[hot[0]]), power[hot[0]]
+    big_z = float(inst.total_rbs)
+    n_links = len(links.ch)
+    too_hot = links.power(np.full(n_links, big_z)) > inst.pmax
+    if np.any(too_hot):
+        k = int(np.argmax(too_hot))
+        g, u = int(links.ch[k]), int(links.uav[k])
         raise InfeasibleInstanceError(
-            f"link (ch={g}, uav={u}) needs {p:.6g} W at z={z0:.6g}, "
-            f"above the {inst.pmax:.6g} W cap", ch=g, uav=u,
-        )
-    return float(power.max())
+            f"link (ch={g}, uav={u}) exceeds the power cap even with all "
+            f"{inst.total_rbs} resource blocks", ch=g, uav=u)
+    lo, hi = np.full(n_links, Z_MIN_ACTIVE), np.full(n_links, big_z)
+    capped = links.power(lo) > inst.pmax
+    if np.any(capped):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            too_hot = links.power(mid) > inst.pmax
+            lo = np.where(too_hot, mid, lo)
+            hi = np.where(too_hot, hi, mid)
+    floors = np.full(len(links.uavs), Z_MIN_ACTIVE)
+    np.maximum.at(floors, links.seg, np.where(capped, hi, Z_MIN_ACTIVE))
+    if floors.sum() > big_z + 1e-9:
+        raise InfeasibleInstanceError(
+            "power caps force more resource blocks than the budget holds",
+            uav=int(links.uavs[np.argmax(floors)]))
+    return floors
 
 
 def _rate_scale(links: LinkView) -> np.ndarray:
@@ -366,41 +380,36 @@ class KktSystem:
     `solve_kkt` iterates on, with its analytic Jacobian.
 
     x stacks, per serving UAV, zt = z / Z; per link, pt = P / p_scale; per
-    serving UAV, s_cap; per served CH, s_pmax; then s_budget; and per link,
+    serving UAV, s_cap; per link, s_pmax; then s_budget; and per link,
     s_rate. Multipliers are squares of these (lam_rb_cap = sigma_mult *
     s_cap**2, lam_pmax = s_pmax**2, lam_budget = sigma_mult * s_budget**2,
     lam_rate = sigma_rate * s_rate**2), so iterates stay sign-feasible. Row
     k of `residual` is row k of `kkt_residuals` divided by `row_scale[k]`;
-    the RB-stationarity rows are normalized at the RB counts of `center`.
-    Scaling rows and unknowns by positive constants leaves the roots
-    unchanged.
+    the RB-stationarity rows are normalized at the RB counts of `center`,
+    and powers by its largest link power `p_scale`. Scaling rows and
+    unknowns by positive constants leaves the roots unchanged.
     """
 
-    def __init__(self, inst: RaInstance, center: KktPoint, p_scale: float):
+    def __init__(self, inst: RaInstance, center: KktPoint):
         links = self.links = inst.links
         self.inst = inst
-        self.p_scale = p_scale
+        self.p_scale = float(center.power.max())
         self.big_z = float(inst.total_rbs)
         z_ref = np.clip(center.z[links.uavs], Z_MIN_ACTIVE, self.big_z)
         self.rho, self.sigma_mult = _row_scales(inst, z_ref)
         self.sigma_rate = _rate_scale(links)
-        # links come ch-major, so each served CH owns one contiguous run
-        first = np.r_[True, np.diff(links.ch) != 0]
-        self.ch_start = np.flatnonzero(first)
-        self.chs = links.ch[self.ch_start]
-        self.ch_seg = np.cumsum(first) - 1
-        n_u, n_p, n_g = len(links.uavs), len(links.ch), len(self.chs)
-        self.cols = np.cumsum([0, n_u, n_p, n_u, n_g, 1])  # block starts in x
+        n_u, n_p = len(links.uavs), len(links.ch)
+        self.cols = np.cumsum([0, n_u, n_p, n_u, n_p, 1])  # block starts in x
         self._blocks = [slice(a, b) for a, b in zip(self.cols, [*self.cols[1:], None])]
-        self.rows = np.cumsum([0, n_u, n_g, 1, n_p, n_u])  # block starts in r
-        self.size = 2 * n_u + 2 * n_p + n_g + 1
+        self.rows = np.cumsum([0, n_u, n_p, 1, n_p, n_u])  # block starts in r
+        self.size = 2 * n_u + 3 * n_p + 1
 
     @property
     def row_scale(self) -> np.ndarray:
         """Per row, the factor that turns `residual` into `kkt_residuals`."""
-        n_u, n_g = len(self.links.uavs), len(self.chs)
+        n_u, n_p = len(self.links.uavs), len(self.links.ch)
         return np.concatenate([
-            np.full(n_u, self.sigma_mult * self.big_z), np.full(n_g, self.inst.pmax),
+            np.full(n_u, self.sigma_mult * self.big_z), np.full(n_p, self.inst.pmax),
             [self.sigma_mult * self.big_z], self.links.weight, self.rho,
             self.p_scale * self.sigma_rate,
         ])
@@ -431,9 +440,9 @@ class KktSystem:
         lam_rate = self.sigma_rate * s_rate**2
         res = np.concatenate([
             s_cap**2 * (zt - 1.0),
-            s_pmax**2 * (np.maximum.reduceat(pt, self.ch_start) * p_scale - inst.pmax) / inst.pmax,
+            s_pmax**2 * (pt * p_scale - inst.pmax) / inst.pmax,
             [s_budget**2 * (float(np.sum(zt)) - 1.0)],
-            (links.weight + s_pmax[self.ch_seg] ** 2 - lam_rate) / links.weight,
+            (links.weight + s_pmax**2 - lam_rate) / links.weight,
             (self.sigma_mult * (s_budget**2 - s_cap**2)
              + links.per_uav(lam_rate * links.coeff * slope)) / self.rho,
             s_rate**2 * (req - pt * p_scale) / p_scale,
@@ -445,25 +454,22 @@ class KktSystem:
         zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
         links, inst, p_scale, rho = self.links, self.inst, self.p_scale, self.rho
         req, slope, bend = self._link_terms(zt)
-        seg, ch_seg, w = links.seg, self.ch_seg, links.weight
-        iu, ig, ip = np.arange(len(zt)), np.arange(len(s_pmax)), np.arange(len(pt))
-        top = np.maximum.reduceat(pt, self.ch_start)
-        first = np.minimum.reduceat(np.where(pt == top[ch_seg], ip, len(pt)), self.ch_start)
+        seg, w = links.seg, links.weight
+        iu, ip = np.arange(len(zt)), np.arange(len(pt))
         cz, cp, cc, cg, cb, cr = self.cols
         r_cap, r_pmax, r_budget, r_stat_p, r_stat_z, r_rate = self.rows
         jac = np.zeros((self.size, self.size))
         # 1. s_cap**2 * (zt - 1)
         jac[r_cap + iu, cz + iu] = s_cap**2
         jac[r_cap + iu, cc + iu] = 2.0 * s_cap * (zt - 1.0)
-        # 2. s_pmax**2 * (max_k pt_k * p_scale - pmax) / pmax; the max moves
-        # with the first of the CH's links that reaches it
-        jac[r_pmax + ig, cp + first] = s_pmax**2 * p_scale / inst.pmax
-        jac[r_pmax + ig, cg + ig] = 2.0 * s_pmax * (top * p_scale - inst.pmax) / inst.pmax
+        # 2. s_pmax**2 * (pt * p_scale - pmax) / pmax
+        jac[r_pmax + ip, cp + ip] = s_pmax**2 * p_scale / inst.pmax
+        jac[r_pmax + ip, cg + ip] = 2.0 * s_pmax * (pt * p_scale - inst.pmax) / inst.pmax
         # 3. s_budget**2 * (sum zt - 1)
         jac[r_budget, cz + iu] = s_budget**2
         jac[r_budget, cb] = 2.0 * s_budget * (float(np.sum(zt)) - 1.0)
         # 4. (w + s_pmax**2 - sigma_rate * s_rate**2) / w
-        jac[r_stat_p + ip, cg + ch_seg] = 2.0 * s_pmax[ch_seg] / w
+        jac[r_stat_p + ip, cg + ip] = 2.0 * s_pmax / w
         jac[r_stat_p + ip, cr + ip] = -2.0 * self.sigma_rate * s_rate / w
         # 5. (sigma_mult * (s_budget**2 - s_cap**2)
         #     + sum_k sigma_rate * s_rate**2 * coeff * slope(Z zt)) / rho
@@ -486,11 +492,11 @@ class KktSystem:
         z[links.uavs] = zt * self.big_z
         lam_rb_cap[links.uavs] = self.sigma_mult * s_cap**2
         power = np.zeros((inst.num_chs, inst.num_uavs))
+        lam_pmax = np.zeros((inst.num_chs, inst.num_uavs))
         lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
         power[links.ch, links.uav] = pt * self.p_scale
+        lam_pmax[links.ch, links.uav] = s_pmax**2
         lam_rate[links.ch, links.uav] = self.sigma_rate * s_rate**2
-        lam_pmax = np.zeros(inst.num_chs)
-        lam_pmax[self.chs] = s_pmax**2
         return KktPoint(z=z, power=power, lam_rb_cap=lam_rb_cap, lam_pmax=lam_pmax,
                         lam_budget=self.sigma_mult * s_budget**2, lam_rate=lam_rate)
 
@@ -500,7 +506,7 @@ class KktSystem:
             np.clip(point.z[links.uavs], Z_MIN_ACTIVE, 9.0 * self.big_z) / self.big_z,
             point.power[links.ch, links.uav] / self.p_scale,
             np.sqrt(np.maximum(point.lam_rb_cap[links.uavs], 0.0) / self.sigma_mult),
-            np.sqrt(np.maximum(point.lam_pmax[self.chs], 0.0)),
+            np.sqrt(np.maximum(point.lam_pmax[links.ch, links.uav], 0.0)),
             [math.sqrt(max(point.lam_budget, 0.0) / self.sigma_mult)],
             np.sqrt(np.maximum(point.lam_rate[links.ch, links.uav], 0.0) / self.sigma_rate),
         ])
@@ -514,93 +520,60 @@ def _initial_point(inst: RaInstance, z_serving: np.ndarray, lam_budget: float) -
     z[links.uavs] = z_serving
     lam_rb_cap = np.zeros(inst.num_uavs)
     lam_rb_cap[links.uavs] = 1e-6
-    lam_pmax = np.zeros(inst.num_chs)
-    lam_pmax[links.ch] = 1e-6
+    lam_pmax = np.zeros((inst.num_chs, inst.num_uavs))
+    lam_pmax[links.ch, links.uav] = 1e-6
     lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
     lam_rate[links.ch, links.uav] = _rate_scale(links)
     return KktPoint(z=z, power=_powers_for(inst, z), lam_rb_cap=lam_rb_cap,
                     lam_pmax=lam_pmax, lam_budget=lam_budget, lam_rate=lam_rate)
 
 
-def _kkt_starts(inst: RaInstance, init: KktPoint | None) -> list[KktPoint]:
-    """Start points of `solve_kkt`, in the order tried: the RB counts of
-    `init` if given, the even split, a small-exponent warm start, and the
-    even split halved and quartered."""
+def _kkt_starts(inst: RaInstance) -> list[KktPoint]:
+    """Start points of `solve_kkt`, in the order tried. Each puts every
+    serving UAV at its cap floor plus a share of the blocks the floors leave
+    over, so every start keeps the power caps: first the share of a
+    small-exponent warm start, then an even share, halved and quartered."""
     links = inst.links
-    big_z = float(inst.total_rbs)
-    z_even = big_z / len(links.uavs)
+    floors = _cap_floors(inst)
+    spare = max(float(inst.total_rbs) - floors.sum(), 0.0)
     # small-exponent approximation: per-UAV cost ~ const + K/z, so equalized
     # marginal costs put z proportional to sqrt(K); a strong warm start
     # whenever packets are far from saturating their links
     k_load = np.maximum(
         links.per_uav(_rate_scale(links) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300)
-    warm = np.maximum(big_z * np.sqrt(k_load) / np.sum(np.sqrt(k_load)), Z_MIN_ACTIVE)
-    starts = []
-    if init is not None:
-        starts.append((np.maximum(init.z[links.uavs], Z_MIN_ACTIVE), 1e-6))
-    starts.append((np.full(len(links.uavs), z_even), 1e-6))
-    starts.append((warm, _row_scales(inst, warm)[1]))
-    for factor in (0.5, 0.25):
-        starts.append((np.full(len(links.uavs), max(z_even * factor, Z_MIN_ACTIVE)), 1e-6))
+    warm = floors + spare * np.sqrt(k_load) / np.sum(np.sqrt(k_load))
+    starts = [(warm, _row_scales(inst, warm)[1])]
+    starts += [(floors + factor * spare / len(floors), 1e-6) for factor in (1.0, 0.5, 0.25)]
     return [_initial_point(inst, z, lam_budget) for z, lam_budget in starts]
 
 
-def solve_kkt(
-    inst: RaInstance,
-    init: KktPoint | None = None,
-    config: lma.LmaConfig | None = None,
-) -> tuple[RaSolution, KktPoint]:
+def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     """Solve the optimality system by Levenberg-Marquardt root finding.
 
-    Iterates on the rescaled unknowns of `KktSystem` with its analytic
-    Jacobian. The returned point satisfies ||kkt_residuals|| <= 1e-8 and
-    feasibility within 1e-9, else a SolverConvergenceError reports the best
-    residual norm reached.
+    Runs LM once from each of `_kkt_starts`, on the rescaled unknowns of
+    `KktSystem` with its analytic Jacobian, and returns the first point with
+    ||kkt_residuals|| <= 1e-8 and feasibility within 1e-9; else a
+    SolverConvergenceError reports the best residual norm reached. Power
+    caps that no allocation meets raise InfeasibleInstanceError, decided by
+    the cap floors as in `solve_reduced`.
     """
     if not len(inst.links.ch):
         return _trivial_solution(inst)
-    p_scale = _check_start_feasible(inst)
-    cfg = config or lma.LmaConfig()
-
-    def attempt(point0: KktPoint) -> tuple[KktPoint, float]:
-        system = KktSystem(inst, point0, p_scale)
-        result = lma.solve(system.residual, system.encode(point0), cfg,
-                           jacobian=system.jacobian)
+    best_norm = math.inf
+    for start in _kkt_starts(inst):
+        system = KktSystem(inst, start)
+        result = lma.solve(system.residual, system.encode(start), jacobian=system.jacobian)
         point = system.decode(result.solution)
         point.accepted_costs = result.accepted_costs
         try:
-            raw = kkt_residuals(point, inst)
+            point.residuals = kkt_residuals(point, inst)
         except (ValueError, OverflowError):
-            return point, math.inf
-        point.residuals = raw
-        return point, float(np.linalg.norm(raw))
-
-    def accept(point: KktPoint, raw_norm: float):
-        if raw_norm <= 1e-8 and max_feasibility_violation(inst, point) <= 1e-9:
+            continue
+        norm = float(np.linalg.norm(point.residuals))
+        best_norm = min(best_norm, norm)
+        if norm <= 1e-8 and max_feasibility_violation(inst, point) <= 1e-9:
             return RaSolution(z=point.z.copy(), power=point.power.copy(),
                               objective=objective_value(inst, point.power)), point
-        return None
-
-    best_norm = math.inf
-    for start in _kkt_starts(inst, init):
-        point, raw_norm = attempt(start)
-        best_norm = min(best_norm, raw_norm)
-        done = accept(point, raw_norm)
-        if done:
-            return done
-        # re-center the row scaling on wherever the iterate landed and keep
-        # going from there; helps when the optimum is very lopsided
-        for _ in range(3):
-            if not math.isfinite(raw_norm):
-                break
-            point2, norm2 = attempt(point)
-            best_norm = min(best_norm, norm2)
-            done = accept(point2, norm2)
-            if done:
-                return done
-            if not (norm2 < 0.5 * raw_norm):
-                break
-            point, raw_norm = point2, norm2
 
     raise SolverConvergenceError(
         f"optimality system not solved to tolerance (best residual norm {best_norm:.3e})",
@@ -611,32 +584,6 @@ def solve_kkt(
 # ---------------------------------------------------------------------------
 # reduced solver (independent of the LMA route)
 # ---------------------------------------------------------------------------
-
-def _cap_floors(inst: RaInstance) -> np.ndarray:
-    """Per serving UAV, the smallest z keeping all its links within pmax:
-    bisection on every link's power at once."""
-    links = inst.links
-    big_z = float(inst.total_rbs)
-    n_links = len(links.ch)
-    too_hot = links.power(np.full(n_links, big_z)) > inst.pmax
-    if np.any(too_hot):
-        k = int(np.argmax(too_hot))
-        g, u = int(links.ch[k]), int(links.uav[k])
-        raise InfeasibleInstanceError(
-            f"link (ch={g}, uav={u}) exceeds the power cap even with all "
-            f"{inst.total_rbs} resource blocks", ch=g, uav=u)
-    lo, hi = np.full(n_links, Z_MIN_ACTIVE), np.full(n_links, big_z)
-    capped = links.power(lo) > inst.pmax
-    if np.any(capped):
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            too_hot = links.power(mid) > inst.pmax
-            lo = np.where(too_hot, mid, lo)
-            hi = np.where(too_hot, hi, mid)
-    floors = np.full(len(links.uavs), Z_MIN_ACTIVE)
-    np.maximum.at(floors, links.seg, np.where(capped, hi, Z_MIN_ACTIVE))
-    return floors
-
 
 def _z_at_level(links: LinkView, mu: float, floors: np.ndarray, big_z: float,
                 mu_full: np.ndarray, mu_floor: np.ndarray) -> np.ndarray:
@@ -677,11 +624,6 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
         return _trivial_solution(inst)[0]
     big_z = float(inst.total_rbs)
     floors = _cap_floors(inst)
-    if floors.sum() > big_z + 1e-9:
-        raise InfeasibleInstanceError(
-            "power caps force more resource blocks than the budget holds",
-            uav=int(links.uavs[np.argmax(floors)]))
-
     mu_full = -links.marginal(np.full_like(floors, big_z))
     mu_floor = -links.marginal(floors)
     # at mu = lo some UAV takes all of Z; at mu = hi every UAV takes at most

@@ -111,6 +111,22 @@ def min_uavs(arrival_rates: Sequence[float], mu: float = 1.0) -> int:
     return u
 
 
+def plan_min_fleet(
+    arrival_rates: Sequence[float],
+    mu: float = 1.0,
+    slack_target: float = 0.0,
+) -> StabilityPlan:
+    """The dwell plan on the fewest UAVs that serve every CH with positive
+    rate at >= its arrival rate + slack_target."""
+    rates = _check_rates(arrival_rates)
+    if slack_target < 0:
+        raise ValueError(f"slack_target must be >= 0, got {slack_target}")
+    # min_uavs sizes for exactly the demand find_dwell then fills, so the
+    # plan always exists
+    u_min = min_uavs(rates + np.where(rates > 0, slack_target, 0.0), mu)
+    return find_dwell(rates, u_min, mu, slack_target=slack_target)
+
+
 def verify_plan(plan: StabilityPlan, arrival_rates: Sequence[float], mu: float = 1.0) -> bool:
     """Check all feasibility constraints within 1e-9: nonnegative entries,
     per-UAV budgets <= 1, and mu * total dwell >= arrival rate per CH."""

@@ -1,6 +1,6 @@
 import pytest
 
-from uavm2m import cli
+from uavm2m import cli, harness
 from uavm2m.model import load_scenario
 
 
@@ -94,3 +94,19 @@ def test_baseline_csv(tmp_path):
 def test_bad_values_argument_rejected():
     with pytest.raises(SystemExit):
         cli.main(["sweep", "--variable", "p_tx", "--values", "0.1:0.2"])
+
+
+def test_slack_target_sizes_the_fleet(tmp_path, capsys):
+    # the fleet must carry the demand plus the slack: the minimum fleet for
+    # the bare demand cannot serve it
+    scn = tmp_path / "scn.txt"
+    assert cli.main(["gen", "--seed", "3", "--clusters", "20", "--out", str(scn)]) == 0
+    out = tmp_path / "plan.csv"
+    assert cli.main(["plan", "--scenario", str(scn), "--slack-target", "0.05",
+                     "--out", str(out)]) == 0
+    assert "u_min=14" in capsys.readouterr().err
+    result = harness.run_pipeline(load_scenario(scn.read_text()), slack_target=0.05)
+    assert result.u_min == 14
+    assert out.read_text().splitlines()[0] == "uav_id,ch_id,dwell_fraction"
+    assert cli.main(["simulate", "--scenario", str(scn), "--slack-target", "0.05",
+                     "--horizon", "10", "--out", str(tmp_path / "trace.csv")]) == 0

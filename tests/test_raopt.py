@@ -4,8 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from uavm2m import channel, lma, raopt
-from uavm2m.model import DwellMatrix
+from uavm2m import channel, harness, lma, raopt
+from uavm2m.model import DwellMatrix, RadioParams, generate_scenario
 
 from conftest import BETA, WAVELENGTH, random_instance, single_link_instance, split_ch_instance
 
@@ -13,11 +13,10 @@ from conftest import BETA, WAVELENGTH, random_instance, single_link_instance, sp
 def _kkt_block_offsets(inst):
     """Start offsets of the six residual blocks, in stacked order."""
     n_u = len(inst.active_uavs())
-    n_g = len(inst.served_chs())
     n_p = len(inst.active_pairs())
     rb_cap = 0
     pmax = rb_cap + n_u
-    budget = pmax + n_g
+    budget = pmax + n_p
     stat_p = budget + 1
     stat_z = stat_p + n_p
     rate = stat_z + n_u
@@ -32,7 +31,7 @@ def _zeroed_point(inst, z_value):
         z=z,
         power=np.zeros((inst.num_chs, inst.num_uavs)),
         lam_rb_cap=np.zeros(inst.num_uavs),
-        lam_pmax=np.zeros(inst.num_chs),
+        lam_pmax=np.zeros((inst.num_chs, inst.num_uavs)),
         lam_budget=0.0,
         lam_rate=np.zeros((inst.num_chs, inst.num_uavs)),
     )
@@ -106,9 +105,8 @@ def test_complementary_slackness_at_convergence(rng):
         assert abs(point.lam_budget * (z_total - inst.total_rbs)) < 1e-8
         for u in inst.active_uavs():
             assert abs(point.lam_rb_cap[u] * (point.z[u] - inst.total_rbs)) < 1e-8
-        for g in inst.served_chs():
-            p_g = max(point.power[g, u] for gg, u in inst.active_pairs() if gg == g)
-            assert abs(point.lam_pmax[g] * (p_g - inst.pmax)) < 1e-8
+        for g, u in inst.active_pairs():
+            assert abs(point.lam_pmax[g, u] * (point.power[g, u] - inst.pmax)) < 1e-8
 
 
 def test_infeasible_cap_names_link():
@@ -160,9 +158,8 @@ def _kkt_iterates(rng):
     """(system, x) at every start of `solve_kkt` and at the final LM iterate
     from it, on the split-CH instance and 30 random ones."""
     for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
-        p_scale = raopt._check_start_feasible(inst)
-        for start in raopt._kkt_starts(inst, None):
-            system = raopt.KktSystem(inst, start, p_scale)
+        for start in raopt._kkt_starts(inst):
+            system = raopt.KktSystem(inst, start)
             x0 = system.encode(start)
             yield system, x0
             yield system, lma.solve(system.residual, x0, jacobian=system.jacobian).solution
@@ -195,14 +192,16 @@ def test_scaled_kkt_residual_matches_scalar_reference(rng):
 
 def test_reduced_solves_instances_with_binding_caps(rng):
     # pmax just below the uncapped optimum's peak link power: the even split
-    # Z/n can break the cap while an uneven split still keeps it
-    solved = binding = 0
-    cases = 0
-    while cases < 40:
+    # Z/n can break the cap while an uneven split still keeps it. The KKT
+    # route must never call such an instance infeasible; it may still fail
+    # to converge on it
+    slacks = [split_ch_instance(6)]
+    while len(slacks) < 41:
         slack = random_instance(rng)
-        if len(slack.active_uavs()) < 2:
-            continue
-        cases += 1
+        if len(slack.active_uavs()) >= 2:
+            slacks.append(slack)
+    solved = binding = 0
+    for slack in slacks:
         uncapped = raopt.solve_reduced(slack)
         inst = dataclasses.replace(slack, pmax=0.999 * float(uncapped.power.max()))
         try:
@@ -220,6 +219,14 @@ def test_reduced_solves_instances_with_binding_caps(rng):
         assert sol.objective >= uncapped.objective * (1 - 1e-12)
         if exact is not None:
             assert sol.objective <= exact.objective * (1 + 1e-9)
+        try:
+            sol_k, point = raopt.solve_kkt(inst)
+        except raopt.SolverConvergenceError:
+            pass
+        else:
+            assert np.linalg.norm(raopt.kkt_residuals(point, inst)) <= 1e-8
+            assert raopt.max_feasibility_violation(inst, point) <= 1e-9
+            assert sol_k.objective == pytest.approx(sol.objective, rel=1e-6)
         # optimality: UAVs off their cap floor share one marginal cost; a UAV
         # held at its floor gains less from a block and would give blocks
         # away if its cap allowed
@@ -233,6 +240,21 @@ def test_reduced_solves_instances_with_binding_caps(rng):
             assert free.max() - free.min() <= 1e-6 * free.mean()
             assert np.all(level[at_floor] <= free.mean() * (1 + 1e-6))
     assert solved > 0 and binding > 0
+
+
+def test_kkt_prices_power_caps_per_link():
+    # a crosscheck-pool plan with pmax just below its optimum's peak link
+    # power: the cap binds on one link of each of two CHs split across two
+    # UAVs, and the KKT route, with one multiplier per link cap, must reach
+    # the capped optimum as a verified point
+    scenario = generate_scenario(2101114459, 8, 1, 10, RadioParams(total_rbs=6))
+    slack = harness.run_pipeline(scenario, seed=2101114459).instance
+    inst = dataclasses.replace(
+        slack, pmax=0.999 * float(raopt.solve_reduced(slack).power.max()))
+    sol, point = raopt.solve_kkt(inst)
+    assert np.linalg.norm(raopt.kkt_residuals(point, inst)) <= 1e-8
+    assert raopt.max_feasibility_violation(inst, point) <= 1e-9
+    assert sol.objective == pytest.approx(raopt.solve_reduced(inst).objective, rel=1e-6)
 
 
 def test_link_kernels_match_scalar_reference(rng):

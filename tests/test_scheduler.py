@@ -42,6 +42,12 @@ def test_find_dwell_with_slack_target():
     assert np.all(plan.slack >= 0.1 - 1e-12)
     # margin must fit in the budget too
     assert scheduler.find_dwell([0.45, 0.45], 1, slack_target=0.1) is None
+    # sized for the margin, which a CH without traffic does not get
+    plan = scheduler.plan_min_fleet([0.45, 0.45, 0.0], slack_target=0.1)
+    assert plan.uav_count == 2
+    assert plan.slack == pytest.approx([0.1, 0.1, 0.0], abs=1e-12)
+    with pytest.raises(ValueError):
+        scheduler.plan_min_fleet([0.45], slack_target=-0.1)
 
 
 def test_find_dwell_parameter_errors():
