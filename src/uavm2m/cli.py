@@ -8,9 +8,13 @@ digits so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
+import os
 import sys
+from collections.abc import Iterator
+from typing import IO
 
 from . import harness, queueing, raopt, scheduler
 from .model import RadioParams, generate_scenario, load_scenario, save_scenario
@@ -34,12 +38,25 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _write_out(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _open_out(out_path: str | None) -> Iterator[IO[str]]:
+    """The `--out` file, or stdout when no path is given. A reader that closes
+    stdout early (`| head`) ends the output, not the command."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            yield fh
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; give that flush a sink
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write_out(text: str, out_path: str | None) -> None:
+    with _open_out(out_path) as out:
+        out.write(text)
 
 
 def _load(path: str):
@@ -154,9 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         trace = queueing.simulate(scenario, plan.dwell, service_rate=args.mu,
                                   horizon=args.horizon, seed=args.seed,
                                   integer_service=args.integer_service)
-        buf = io.StringIO()
-        queueing.write_trace_csv(trace, buf)
-        _write_out(buf.getvalue(), args.out)
+        with _open_out(args.out) as out:  # streamed: the text never sits whole in memory
+            queueing.write_trace_csv(trace, out)
         stable = queueing.is_rate_stable(trace, args.epsilon) if args.horizon >= 1000 else None
         print(f"max_backlog_rate={float(trace.final_rates().max()):.9g} "
               f"stable={stable}", file=sys.stderr)

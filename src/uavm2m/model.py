@@ -257,6 +257,13 @@ def _parse_number(token: str, lineno: int, key: str) -> float:
         raise ScenarioFormatError(f"line {lineno}: invalid number for {key}: {token!r}") from None
 
 
+def _parse_int(token: str, lineno: int, key: str) -> int:
+    value = _parse_number(token, lineno, key)
+    if not value.is_integer():
+        raise ScenarioFormatError(f"line {lineno}: {key} must be a whole number, got {token!r}")
+    return int(value)
+
+
 def load_scenario(text: str) -> ClusterScenario:
     """Parse a scenario file. Raises ScenarioFormatError naming the offending
     line for malformed input, and "missing key <k>" when a scalar is absent."""
@@ -286,7 +293,8 @@ def load_scenario(text: str) -> ClusterScenario:
                 raise ScenarioFormatError(f"line {lineno}: unknown key {key!r}")
             if key in scalars:
                 raise ScenarioFormatError(f"line {lineno}: duplicate key {key!r}")
-            scalars[key] = _parse_number(value.strip(), lineno, key)
+            parse = _parse_int if key in _INT_KEYS else _parse_number
+            scalars[key] = parse(value.strip(), lineno, key)
             scalar_lines[key] = lineno
         elif section == "clusters":
             parts = [p.strip() for p in line.split(",")]
@@ -294,10 +302,10 @@ def load_scenario(text: str) -> ClusterScenario:
                 raise ScenarioFormatError(
                     f"line {lineno}: cluster row needs 'id,x_m,y_m,members', got {line!r}"
                 )
-            cid = int(_parse_number(parts[0], lineno, "cluster id"))
+            cid = _parse_int(parts[0], lineno, "cluster id")
             x = _parse_number(parts[1], lineno, "x_m")
             y = _parse_number(parts[2], lineno, "y_m")
-            members = int(_parse_number(parts[3], lineno, "members"))
+            members = _parse_int(parts[3], lineno, "members")
             try:
                 clusters.append(Cluster(id=cid, position=(x, y), members=members))
             except ValueError as exc:
@@ -308,6 +316,7 @@ def load_scenario(text: str) -> ClusterScenario:
                 raise ScenarioFormatError(
                     f"line {lineno}: uav row needs 'id,altitude_m', got {line!r}"
                 )
+            _parse_int(parts[0], lineno, "uav id")  # checked only: UAVs keep row order
             altitudes.append(_parse_number(parts[1], lineno, "altitude_m"))
 
     for key, _ in _SCALAR_KEYS:
@@ -324,7 +333,7 @@ def load_scenario(text: str) -> ClusterScenario:
             p_tx=scalars["p_tx"],
             packet_bits=scalars["packet_bits"],
             rb_bandwidth_hz=scalars["rb_bandwidth_hz"],
-            total_rbs=int(scalars["total_rbs"]),
+            total_rbs=scalars["total_rbs"],
             noise_psd=scalars["noise_psd_w_per_hz"],
             carrier_hz=scalars["carrier_hz"],
             pathloss_exp=scalars["pathloss_exponent"],

@@ -1,6 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from uavm2m import cli, harness
+from uavm2m import cli, harness, queueing, scheduler
 from uavm2m.model import load_scenario
 
 
@@ -44,6 +49,41 @@ def test_simulate_writes_trace(tmp_path, capsys):
     assert lines[0] == "slot,ch_id,backlog"
     assert len(lines) == 1 + 1501 * 5
     assert "max_backlog_rate=" in capsys.readouterr().err
+
+
+def test_simulate_streams_same_bytes_to_stdout_and_file(tmp_path, capsys):
+    scn = _gen(tmp_path)
+    args = ["simulate", "--scenario", str(scn), "--horizon", "1500", "--seed", "3"]
+    out = tmp_path / "trace.csv"
+    assert cli.main([*args, "--out", str(out)]) == 0
+    to_file = capsys.readouterr()
+    assert to_file.out == ""
+    assert cli.main(args) == 0
+    to_stdout = capsys.readouterr()
+    assert to_stdout.out.encode("utf-8") == out.read_bytes()
+    scenario = load_scenario(scn.read_text())
+    plan = scheduler.plan_min_fleet(queueing.arrival_rates(scenario), 1.0, 0.0)
+    trace = queueing.simulate(scenario, plan.dwell, horizon=1500, seed=3)
+    summary = (f"max_backlog_rate={float(trace.final_rates().max()):.9g} "
+               f"stable={queueing.is_rate_stable(trace, 0.01)}\n")
+    assert to_file.err == to_stdout.err == summary
+
+
+def test_simulate_to_closed_pipe_ends_quietly(tmp_path):
+    # a reader that stops early (`uavm2m simulate ... | head`) ends the
+    # stream; the command still prints its summary and exits 0
+    scn = _gen(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    with subprocess.Popen(
+            [sys.executable, "-m", "uavm2m.cli", "simulate", "--scenario", str(scn),
+             "--horizon", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(19) == b"slot,ch_id,backlog\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("max_backlog_rate=")
 
 
 def test_solve_ra_file_format(tmp_path, capsys):

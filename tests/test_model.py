@@ -67,15 +67,17 @@ def test_round_trip_with_fleet():
     assert again.fleet.count == 3
 
 
+_MINIMAL_LINES = (
+    "area_m = 100.0", "carrier_hz = 2e9", "rb_bandwidth_hz = 15000.0",
+    "noise_psd_w_per_hz = 1e-20", "pathloss_exponent = 2.5",
+    "ber_target = 1e-7", "packet_bits = 100.0", "p_tx = 0.1",
+    "pmax_w = 1.0", "total_rbs = 6", "slot_seconds = 1.0",
+    "[clusters]", "0,10.0,20.0,3", "[uavs]",
+)
+
+
 def test_minimal_file_parses():
-    text = "\n".join([
-        "area_m = 100.0", "carrier_hz = 2e9", "rb_bandwidth_hz = 15000.0",
-        "noise_psd_w_per_hz = 1e-20", "pathloss_exponent = 2.5",
-        "ber_target = 1e-7", "packet_bits = 100.0", "p_tx = 0.1",
-        "pmax_w = 1.0", "total_rbs = 6", "slot_seconds = 1.0",
-        "[clusters]", "0,10.0,20.0,3", "[uavs]",
-    ])
-    scenario = load_scenario(text)
+    scenario = load_scenario("\n".join(_MINIMAL_LINES))
     assert scenario.num_clusters == 1
     assert scenario.clusters[0] == Cluster(id=0, position=(10.0, 20.0), members=3)
     assert scenario.fleet is None
@@ -111,6 +113,21 @@ def test_out_of_range_value_rejected():
     text = save_scenario(scenario).replace("p_tx = 0.1", "p_tx = 1.5")
     with pytest.raises(ScenarioFormatError, match=r"line \d+: p_tx"):
         load_scenario(text)
+
+
+@pytest.mark.parametrize("lineno,row,field", [
+    (10, "total_rbs = 6.5", "total_rbs"),
+    (13, "0.5,10.0,20.0,3", "cluster id"),
+    (13, "0,10.0,20.0,3.9", "members"),
+    (15, "0.5,400.0", "uav id"),
+])
+def test_fractional_count_or_id_names_its_line(lineno, row, field):
+    # a count or id that is not a whole number is an error, not truncated
+    lines = [*_MINIMAL_LINES, "0,400.0"]
+    assert load_scenario("\n".join(lines)).fleet.count == 1
+    lines[lineno - 1] = row
+    with pytest.raises(ScenarioFormatError, match=f"line {lineno}: {field} must be a whole number"):
+        load_scenario("\n".join(lines))
 
 
 def test_comments_and_blank_lines_ignored():

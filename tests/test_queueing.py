@@ -1,10 +1,14 @@
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from uavm2m import queueing
+from uavm2m import queueing, scheduler
 from uavm2m.model import DwellMatrix, RadioParams, generate_scenario
 
 
@@ -168,3 +172,62 @@ def test_trace_csv_export():
     assert lines[0] == "slot,ch_id,backlog"
     assert lines[1] == "0,0,0"
     assert lines[-1] == "1,1,2"
+
+
+def _per_row_csv(trace):
+    """Reference writer: one f-string write per row."""
+    out = io.StringIO()
+    out.write("slot,ch_id,backlog\n")
+    for t in range(trace.horizon + 1):
+        for g in range(trace.num_chs):
+            out.write(f"{t},{g},{trace.backlog[g, t]:.9g}\n")
+    return out.getvalue()
+
+
+def _block_csv(trace):
+    out = io.StringIO()
+    queueing.write_trace_csv(trace, out)
+    return out.getvalue()
+
+
+BLOCK = queueing._TRACE_BLOCK_SLOTS
+
+
+@pytest.mark.parametrize("clusters,slots,integer_service", [
+    (5, BLOCK - 1, False),
+    (5, BLOCK, False),
+    (5, BLOCK + 1, False),
+    (1, 2 * BLOCK + 3, False),
+    (4, BLOCK + 1, True),
+])
+def test_trace_csv_matches_per_row_writer(clusters, slots, integer_service):
+    scenario = _scenario(seed=5, clusters=clusters, p=0.3)
+    plan = scheduler.plan_min_fleet(queueing.arrival_rates(scenario), 1.0, 0.0)
+    trace = queueing.simulate(scenario, plan.dwell, horizon=slots - 1, seed=8,
+                              integer_service=integer_service)
+    assert trace.backlog.shape == (clusters, slots)
+    assert _block_csv(trace) == _per_row_csv(trace)
+
+
+# values where '.9g' changes form: subnormals, float dust, and both sides of
+# 1e-4 and 1e9, where it switches between fixed and exponent notation
+_EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1.1e-15, 3e-16,
+                np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), 9.99999999e-5, 9.999999995e-5,
+                999999999.0, 999999999.4, 999999999.5, np.nextafter(1e9, 0), 1e9,
+                np.nextafter(1e9, 2e9), 1e9 + 1, 1.5e300]
+
+
+@settings(deadline=None)
+@given(
+    backlog=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+        elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+        | st.sampled_from(_EDGE_VALUES),
+    ),
+    block=st.integers(min_value=1, max_value=5),
+)
+def test_trace_csv_matches_per_row_writer_on_any_backlog(backlog, block):
+    trace = queueing.QueueTrace(backlog=backlog, horizon=backlog.shape[1] - 1, seed=0)
+    with mock.patch.object(queueing, "_TRACE_BLOCK_SLOTS", block):
+        assert _block_csv(trace) == _per_row_csv(trace)
