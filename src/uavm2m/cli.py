@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -36,6 +37,25 @@ def _parse_values(text: str) -> tuple[float, ...]:
             v += step
         return tuple(values)
     return tuple(float(p) for p in text.split(","))
+
+
+def _checked(convert, accept, rule: str):
+    """argparse `type=` for a number that must satisfy `accept`, so that a bad
+    value is a usage error rather than a traceback from deep in the run."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_at_least_one = _checked(int, lambda v: v >= 1, ">= 1")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 
 
 @contextlib.contextmanager
@@ -83,7 +103,7 @@ def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
         p.add_argument("--scenario", required=True, help="scenario file to read")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--mu", type=float, default=1.0,
+    p.add_argument("--mu", type=_positive, default=1.0,
                    help="packets served per full slot of dwelling")
 
 
@@ -108,14 +128,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("plan", help="dwell plan and minimum UAV count")
     _add_common(p)
-    p.add_argument("--slack-target", type=float, default=0.0)
+    p.add_argument("--slack-target", type=_nonnegative, default=0.0)
 
     p = sub.add_parser("simulate", help="Monte Carlo queue backlog simulation")
     _add_common(p)
-    p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--horizon", type=_at_least_one, default=10_000)
+    p.add_argument("--epsilon", type=_positive, default=0.01)
     p.add_argument("--integer-service", action="store_true")
-    p.add_argument("--slack-target", type=float, default=0.0)
+    p.add_argument("--slack-target", type=_nonnegative, default=0.0)
 
     p = sub.add_parser("solve-ra", help="solve the RB/power allocation")
     _add_common(p)
@@ -135,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--p-tx", type=float, default=None)
     p.add_argument("--rbs", type=int, default=None)
     p.add_argument("--packet-bits", type=float, default=None)
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--mu", type=_positive, default=1.0)
     p.add_argument("--solver", choices=("kkt", "reduced", "both"), default="reduced")
     p.add_argument("--horizon-slots", type=int, default=1)
     p.add_argument("--out", default=None)

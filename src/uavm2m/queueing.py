@@ -62,8 +62,9 @@ class QueueTrace:
     def __post_init__(self):
         if self.backlog.shape[1] != self.horizon + 1:
             raise ValueError("backlog length must be horizon + 1")
-        if np.any(self.backlog < 0):
-            raise ValueError("backlog must be nonnegative")
+        # min and max propagate NaN, which then fails both tests
+        if not (self.backlog.min(initial=0.0) >= 0 and self.backlog.max(initial=0.0) < np.inf):
+            raise ValueError("backlog must be finite and nonnegative")
 
     @property
     def num_chs(self) -> int:
@@ -74,11 +75,86 @@ class QueueTrace:
         return self.backlog[:, -1] / self.horizon
 
 
+def _inversion_cuts(n: int, p: float) -> list[float]:
+    """Cut points t_0 <= ... <= t_bound of numpy's Binomial inversion sampler, p <= 0.5.
+
+    `Generator.binomial` draws Binomial(n, p) with n*p <= 30 by inversion
+    (`random_binomial_inversion` in numpy's distributions.c): one uniform U,
+    then `X = 0, px = qn; while U > px: X += 1, U -= px, px = next pmf term`,
+    restarting on a fresh uniform once X passes `bound`. Each `U -= px` is
+    monotone in U, so the loop passes step k exactly when U > t_k, t_k being
+    the largest double at which it stops by step k, and the draw is the
+    number of cuts below U. The pmf terms follow the C expressions in the
+    C order, so they are the same doubles; each cut starts at the partial sum
+    and moves a few ulps until the sequential residual agrees.
+    """
+    q = 1.0 - p
+    qn = math.exp(n * math.log1p(-p))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = [qn]
+    for x in range(1, bound + 1):
+        px.append(((n - x + 1) * p * px[-1]) / (x * q))
+
+    def stops_by(u: float, k: int) -> bool:
+        for term in px[:k]:
+            u -= term
+        return u <= px[k]
+
+    cuts, partial, cut = [], 0.0, 0.0
+    for k in range(bound + 1):
+        partial += px[k]
+        t = partial
+        while not stops_by(t, k):
+            t = math.nextafter(t, -math.inf)
+        while stops_by(math.nextafter(t, math.inf), k):
+            t = math.nextafter(t, math.inf)
+        cut = max(cut, t)
+        cuts.append(cut)
+    return cuts
+
+
+# cells of the lookup table over [0, 1): a uniform in a cell that holds no
+# cut takes the cell's draw; the few in cells with a cut are searched. The
+# table stays at 2 KB: with 32 KB per-CH tables the heap fragmented and the
+# trace workload's peak memory crept up with each export.
+_CELLS = 256
+
+
+def _binomial_draws(rng: np.random.Generator, members: int, p: float,
+                    size: int) -> np.ndarray | None:
+    """`rng.binomial(members, p, size).astype(float)`, bit for bit and with the
+    same stream use, from one vectorized uniform draw; None where numpy would
+    not invert (BTPE for members * min(p, 1 - p) > 30) or would restart on an
+    extra uniform (a uniform above the last cut)."""
+    if members == 0 or p == 0.0:
+        return np.zeros(size)
+    flip = p > 0.5  # numpy draws n - Binomial(n, 1 - p)
+    pe = 1.0 - p if flip else p
+    if pe * members > 30.0:
+        return None
+    # scaling by a power of two is exact, so comparisons keep their outcome
+    cuts = np.array(_inversion_cuts(members, pe)) * _CELLS
+    u = rng.random(size)
+    u *= _CELLS
+    if u.max() > cuts[-1]:
+        return None
+    below = np.searchsorted(cuts, np.arange(_CELLS + 1.0))  # cuts under each cell start
+    table = np.where(below[1:] == below[:-1], below[:-1], np.nan)
+    draws = table[u.astype(np.intp)]
+    cut_cells = np.flatnonzero(np.isnan(draws))
+    draws[cut_cells] = np.searchsorted(cuts, u[cut_cells])
+    return members - draws if flip else draws
+
+
 def _arrivals_for(seed: int, ch: int, members: int, p: float, horizon: int) -> np.ndarray:
     # one deterministic substream per (seed, CH): parallel replications
     # reproduce the serial draws bit-exactly
-    rng = np.random.default_rng(np.random.SeedSequence([seed, ch]))
-    return rng.binomial(members, p, size=horizon).astype(float)
+    seq = np.random.SeedSequence([seed, ch])
+    draws = _binomial_draws(np.random.default_rng(seq), members, p, horizon)
+    if draws is None:
+        draws = np.random.default_rng(seq).binomial(members, p, size=horizon).astype(float)
+    return draws
 
 
 def _integer_offered(capacity: float, horizon: int) -> np.ndarray:
@@ -87,24 +163,30 @@ def _integer_offered(capacity: float, horizon: int) -> np.ndarray:
     return np.diff(np.concatenate(([0.0], cum)))
 
 
-def _backlog_path(arrivals: np.ndarray, service: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation of Q[t+1] = max(Q[t] - service[t], 0) + arrivals[t].
+def _backlog_path(arrivals: np.ndarray, service: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Vectorized evaluation of Q[t+1] = max(Q[t] - service[t], 0) + arrivals[t]
+    into `out` (length horizon + 1), which is returned.
 
     Uses the reflected-walk identity: with U[t] = Q[t] - arrivals[t-1] (the
     backlog left after service, before the slot's arrivals), U follows a
     plain Lindley recursion whose solution is prefix-sum minus running min.
+    One prefix buffer is the only temporary; `fmin` equals `minimum` on the
+    NaN-free prefix (service is finite) and skips its NaN propagation.
     """
+    out[0] = 0.0
     horizon = arrivals.shape[0]
-    q = np.empty(horizon + 1)
-    q[0] = 0.0
     if horizon == 0:
-        return q
-    # increments X[k] = arrivals[k-1] - service[k], k = 1..horizon-1
-    x = arrivals[:-1] - service[1:]
-    prefix = np.concatenate(([0.0], np.cumsum(x)))
-    w = prefix - np.minimum.accumulate(prefix)
-    q[1:] = w + arrivals
-    return q
+        return out
+    # prefix[k] = sum of increments X[j] = arrivals[j-1] - service[j], j = 1..k
+    prefix = np.empty(horizon)
+    prefix[0] = 0.0
+    np.subtract(arrivals[:-1], service[1:], out=prefix[1:])
+    np.cumsum(prefix[1:], out=prefix[1:])
+    q = out[1:]
+    np.fmin.accumulate(prefix, out=q)
+    np.subtract(prefix, q, out=q)
+    q += arrivals
+    return out
 
 
 def simulate(
@@ -123,8 +205,8 @@ def simulate(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if service_rate < 0:
-        raise ValueError(f"service_rate must be >= 0, got {service_rate}")
+    if not 0 <= service_rate < math.inf:
+        raise ValueError(f"service_rate must be finite and >= 0, got {service_rate}")
     if plan.num_clusters != scenario.num_clusters:
         raise ValueError(
             f"plan covers {plan.num_clusters} CHs but scenario has {scenario.num_clusters}"
@@ -137,7 +219,7 @@ def simulate(
             service = _integer_offered(capacity[g], horizon)
         else:
             service = np.full(horizon, capacity[g])
-        backlog[g] = _backlog_path(arrivals, service)
+        _backlog_path(arrivals, service, backlog[g])
     backlog.setflags(write=False)
     return QueueTrace(backlog=backlog, horizon=horizon, seed=seed)
 

@@ -150,3 +150,24 @@ def test_slack_target_sizes_the_fleet(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "uav_id,ch_id,dwell_fraction"
     assert cli.main(["simulate", "--scenario", str(scn), "--slack-target", "0.05",
                      "--horizon", "10", "--out", str(tmp_path / "trace.csv")]) == 0
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--horizon", "0"),
+    ("simulate", "--mu", "0"),
+    ("simulate", "--mu", "nan"),
+    ("sweep", "--mu", "inf"),
+    ("simulate", "--epsilon", "-1"),
+    ("plan", "--slack-target", "-0.1"),
+    ("simulate", "--horizon", "ten"),
+])
+def test_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    if command == "sweep":
+        args = ["sweep", "--variable", "p_tx", "--values", "0.1"]
+    else:
+        args = [command, "--scenario", str(_gen(tmp_path))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err

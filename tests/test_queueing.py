@@ -231,3 +231,174 @@ def test_trace_csv_matches_per_row_writer_on_any_backlog(backlog, block):
     trace = queueing.QueueTrace(backlog=backlog, horizon=backlog.shape[1] - 1, seed=0)
     with mock.patch.object(queueing, "_TRACE_BLOCK_SLOTS", block):
         assert _block_csv(trace) == _per_row_csv(trace)
+
+
+# -- arrival draws: the vectorized inversion against numpy's own sampler --
+
+_GRID_P = [0.0, 1e-3, 0.1, 0.3, 0.5, math.nextafter(0.5, 1.0), 0.7, 0.999, 1.0]
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _numpy_arrivals(seed, ch, members, p, size):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, ch]))
+    return rng.binomial(members, p, size=size).astype(float), rng
+
+
+def _inversion_loop(u, n, p):
+    """numpy's `random_binomial_inversion` on one uniform, line by line; None
+    where it would restart on a fresh uniform."""
+    q = 1.0 - p
+    qn = math.exp(n * math.log1p(-p))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x, px = 0, qn
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _generator_at(u):
+    """A PCG64 Generator whose next uniform is u (a multiple of 2**-53)."""
+    bitgen = np.random.PCG64(0)
+    state = bitgen.state
+    # PCG64 steps state = state * multiplier + inc, then outputs the xor of its
+    # halves rotated by the top 6 bits: pick a stepped state with no rotation
+    stepped = (1 << 64) | (1 ^ (int(u * 2.0**53) << 11))
+    inverse = pow(_PCG64_MULTIPLIER, -1, 1 << 128)
+    state["state"]["state"] = (stepped - state["state"]["inc"]) * inverse % (1 << 128)
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+class _Uniforms:
+    """Stands in for a Generator whose uniforms are given."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size):
+        return np.resize(self.values, size)
+
+
+@pytest.mark.parametrize("p", _GRID_P)
+def test_arrival_draws_equal_numpy_binomial(p):
+    size = 1500
+    for members in range(65):
+        ch = members % 7
+        expected, after = _numpy_arrivals(3, ch, members, p, size)
+        assert queueing._arrivals_for(3, ch, members, p, size).tobytes() == expected.tobytes()
+        rng = np.random.default_rng(np.random.SeedSequence([3, ch]))
+        draws = queueing._binomial_draws(rng, members, p, size)
+        if draws is None:  # numpy's BTPE range: nothing drawn yet
+            assert members * min(p, 1.0 - p) > 30
+            rng.binomial(members, p, size=size)
+        else:
+            assert draws.tobytes() == expected.tobytes()
+        # the same number of uniforms was read
+        assert rng.random() == after.random()
+
+
+def test_btpe_range_falls_back_to_numpy():
+    rng = np.random.default_rng(0)
+    assert queueing._binomial_draws(rng, 400, 0.1, 10) is None
+    assert rng.random() == np.random.default_rng(0).random()
+    expected, _ = _numpy_arrivals(5, 2, 400, 0.1, 3000)
+    assert queueing._arrivals_for(5, 2, 400, 0.1, 3000).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("members,p", [(1, 1e-3), (7, 0.1), (10, 0.3), (33, 0.5),
+                                       (64, 0.45), (20, 1e-3)])
+def test_inversion_cuts_are_the_loops_exact_stopping_points(members, p):
+    cuts = queueing._inversion_cuts(members, p)
+    assert cuts == sorted(cuts)
+    for k, t in enumerate(cuts):
+        # on every double: the loop stops by step k at t, and passes it just above
+        assert _inversion_loop(t, members, p) <= k
+        above = _inversion_loop(math.nextafter(t, 2.0), members, p)
+        assert above is None if t == cuts[-1] else above >= k + 1
+        # on the uniforms numpy can draw, numpy's own sampler agrees
+        lo = math.floor(t * 2.0**53) / 2.0**53
+        hi = lo + 2.0**-53
+        assert _generator_at(lo).binomial(members, p) <= k
+        if hi <= cuts[-1] and hi < 1.0:  # no restart above t
+            assert _generator_at(hi).binomial(members, p) >= k + 1
+
+
+# cases whose last cut lies below the largest uniform, so numpy can restart
+@pytest.mark.parametrize("members,p,flip", [(5, 0.1, False), (11, 0.5, False),
+                                            (50, 0.01, False), (9, 0.7, True)])
+def test_uniform_above_the_last_cut_takes_the_fallback(members, p, flip):
+    cuts = queueing._inversion_cuts(members, 1.0 - p if flip else p)
+    bound, t_bound = len(cuts) - 1, cuts[-1]
+    over = math.nextafter(t_bound, 1.0)
+    assert over < 1.0  # a uniform numpy can draw
+    at = queueing._binomial_draws(_Uniforms([0.0, t_bound]), members, p, 4)
+    assert at.tolist() == ([members, members - bound] * 2 if flip else [0, bound] * 2)
+    assert queueing._binomial_draws(_Uniforms([0.0, over]), members, p, 4) is None
+    # numpy restarts there: it reads a second uniform for the same draw
+    hi = math.floor(t_bound * 2.0**53) / 2.0**53 + 2.0**-53
+    rng = _generator_at(hi)
+    rng.binomial(members, p)
+    skipped = _generator_at(hi)
+    skipped.random(2)
+    assert rng.random() == skipped.random()
+    with mock.patch.object(queueing, "_binomial_draws", return_value=None):
+        expected, _ = _numpy_arrivals(1, 0, members, p, 500)
+        assert queueing._arrivals_for(1, 0, members, p, 500).tobytes() == expected.tobytes()
+
+
+# -- backlog pass: the in-place kernel against the expression it replaced --
+
+def _reference_backlog_path(arrivals, service):
+    """Prefix sum minus running minimum with fresh temporaries."""
+    horizon = arrivals.shape[0]
+    q = np.empty(horizon + 1)
+    q[0] = 0.0
+    x = arrivals[:-1] - service[1:]
+    prefix = np.concatenate(([0.0], np.cumsum(x)))
+    w = prefix - np.minimum.accumulate(prefix)
+    q[1:] = w + arrivals
+    return q
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    pattern=hnp.arrays(np.float64, st.integers(1, 40),
+                       elements=st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+                       | st.integers(0, 64).map(float)),
+    horizon=st.integers(1, 3) | st.integers(4, 200)
+    | st.sampled_from([8191, 8192, 8193, 16385, 3 * 8192 + 5]),
+    capacity=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+    integer_service=st.booleans(),
+)
+def test_backlog_path_matches_reference_expression(pattern, horizon, capacity,
+                                                   integer_service):
+    arrivals = np.resize(pattern, horizon)
+    if integer_service:
+        service = queueing._integer_offered(capacity, horizon)
+    else:
+        service = np.full(horizon, capacity)
+    out = np.full(horizon + 1, np.nan)
+    got = queueing._backlog_path(arrivals, service, out)
+    assert got is out
+    assert got.tobytes() == _reference_backlog_path(arrivals, service).tobytes()
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0])
+def test_simulate_rejects_non_finite_or_negative_service_rate(rate):
+    scenario = _scenario(clusters=2)
+    plan = DwellMatrix(entries=np.array([[0.5, 0.5]]))
+    with pytest.raises(ValueError, match="service_rate"):
+        queueing.simulate(scenario, plan, service_rate=rate, horizon=10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -math.inf])
+def test_queue_trace_rejects_non_finite_or_negative_backlog(bad):
+    backlog = np.zeros((2, 11))
+    backlog[1, 5] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        queueing.QueueTrace(backlog=backlog, horizon=10, seed=0)
