@@ -117,12 +117,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("gen", help="generate a random scenario file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=int, default=20)
-    p.add_argument("--member-min", type=int, default=1)
-    p.add_argument("--member-max", type=int, default=10)
+    p.add_argument("--clusters", type=_at_least_one, default=20)
+    p.add_argument("--member-min", type=_at_least_one, default=1)
+    p.add_argument("--member-max", type=_at_least_one, default=10)
     p.add_argument("--area", type=float, default=None)
     p.add_argument("--p-tx", type=float, default=None)
-    p.add_argument("--rbs", type=int, default=None)
+    p.add_argument("--rbs", type=_at_least_one, default=None)
     p.add_argument("--packet-bits", type=float, default=None)
     p.add_argument("--out", default=None)
 
@@ -139,25 +139,26 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("solve-ra", help="solve the RB/power allocation")
     _add_common(p)
-    p.add_argument("--rbs", type=int, default=None, help="override the scenario RB budget")
+    p.add_argument("--rbs", type=_at_least_one, default=None,
+                   help="override the scenario RB budget")
     p.add_argument("--solver", choices=("kkt", "reduced", "both"), default="reduced")
 
     p = sub.add_parser("sweep", help="parameter sweep over full pipeline runs")
     p.add_argument("--variable", choices=harness.SWEEP_VARIABLES, required=True)
     p.add_argument("--values", type=_parse_values, required=True,
                    help="comma list a,b,c or inclusive range a:b:step")
-    p.add_argument("--replications", type=int, default=1)
+    p.add_argument("--replications", type=_at_least_one, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=int, default=20)
-    p.add_argument("--member-min", type=int, default=1)
-    p.add_argument("--member-max", type=int, default=10)
+    p.add_argument("--clusters", type=_at_least_one, default=20)
+    p.add_argument("--member-min", type=_at_least_one, default=1)
+    p.add_argument("--member-max", type=_at_least_one, default=10)
     p.add_argument("--area", type=float, default=None)
     p.add_argument("--p-tx", type=float, default=None)
-    p.add_argument("--rbs", type=int, default=None)
+    p.add_argument("--rbs", type=_at_least_one, default=None)
     p.add_argument("--packet-bits", type=float, default=None)
     p.add_argument("--mu", type=_positive, default=1.0)
     p.add_argument("--solver", choices=("kkt", "reduced", "both"), default="reduced")
-    p.add_argument("--horizon-slots", type=int, default=1)
+    p.add_argument("--horizon-slots", type=_at_least_one, default=1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("baseline", help="UAV vs terrestrial power comparison")
@@ -167,7 +168,15 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--placement", choices=("grid", "at_cluster_heads"), default="grid")
 
     args = parser.parse_args(argv)
+    if args.command in ("gen", "sweep") and args.member_min > args.member_max:
+        parser.error(f"--member-min {args.member_min} exceeds --member-max {args.member_max}")
+    try:
+        return _run(args)
+    except scheduler.UnplannableRateError as err:
+        parser.error(str(err))
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "gen":
         scenario = generate_scenario(args.seed, args.clusters, args.member_min,
                                      args.member_max, _radio_from_args(args))

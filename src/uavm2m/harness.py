@@ -96,7 +96,8 @@ def run_pipeline(
 ) -> PipelineResult:
     """Plan a scenario end to end; `solver` is one of reduced, kkt, both.
 
-    Stage failures are re-raised with the stage name prefixed.
+    Stage failures are re-raised with the stage name prefixed; a service
+    rate `mu` too large to plan raises `scheduler.UnplannableRateError`.
     """
     if solver not in ("reduced", "kkt", "both"):
         raise ValueError(f"solver must be reduced, kkt, or both, got {solver!r}")
@@ -104,6 +105,8 @@ def run_pipeline(
 
     try:
         plan = scheduler.plan_min_fleet(rates, mu, slack_target)
+    except scheduler.UnplannableRateError:
+        raise  # a bad argument, not a stage failure
     except Exception as exc:
         raise RuntimeError(f"scheduler stage failed: {exc}") from exc
     u_min = plan.uav_count

@@ -21,6 +21,12 @@ from .model import DwellMatrix
 
 # slack allowed when checking feasibility / verifying plans, absorbs float dust
 _FEAS_EPS = 1e-9
+# dwell entries below this fraction of a slot are subtraction dust, not visits
+_DUST = 1e-12
+
+
+class UnplannableRateError(ValueError):
+    """The service rate is so large that a CH's demand, in slots, is dust."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,9 @@ def find_dwell(
     if `uav_count` UAVs cannot carry the load.
 
     With slack_target > 0 every CH is served at rate >= arrival + slack_target
-    (useful to demonstrate strictly stable queues in simulation).
+    (useful to demonstrate strictly stable queues in simulation). Raises
+    UnplannableRateError, naming mu and the CH, when a CH's whole demand
+    rate / mu is below the 1e-12-slot dust cut.
     """
     rates = _check_rates(arrival_rates)
     if uav_count < 1:
@@ -90,8 +98,15 @@ def find_dwell(
             budget -= pour
     # subtraction dust at UAV boundaries can leave ~1e-17 slivers that a later
     # stage would read as real (and unservable) visits; drop them
-    entries[entries < 1e-12] = 0.0
+    entries[entries < _DUST] = 0.0
     served = mu * entries.sum(axis=0)
+    short = np.flatnonzero(served < rates - _FEAS_EPS)
+    if short.size:
+        # only a service rate so large that a CH's whole demand is dust gets here
+        g = int(short[0])
+        raise UnplannableRateError(
+            f"mu={mu:g} leaves CH {g} (arrival rate {rates[g]:g}) a dwell below "
+            f"{_DUST:g} of a slot, which the plan cannot hold")
     return StabilityPlan(dwell=DwellMatrix(entries=entries), uav_count=uav_count,
                          slack=served - rates)
 

@@ -160,10 +160,21 @@ def test_slack_target_sizes_the_fleet(tmp_path, capsys):
     ("simulate", "--epsilon", "-1"),
     ("plan", "--slack-target", "-0.1"),
     ("simulate", "--horizon", "ten"),
+    ("gen", "--clusters", "0"),
+    ("gen", "--member-min", "0"),
+    ("gen", "--member-max", "-1"),
+    ("gen", "--rbs", "0"),
+    ("solve-ra", "--rbs", "0"),
+    ("sweep", "--replications", "0"),
+    ("sweep", "--horizon-slots", "0"),
+    ("sweep", "--clusters", "0"),
+    ("sweep", "--rbs", "2.5"),
 ])
 def test_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, command, flag, value):
     if command == "sweep":
         args = ["sweep", "--variable", "p_tx", "--values", "0.1"]
+    elif command == "gen":
+        args = ["gen", "--out", str(tmp_path / "scn.txt")]
     else:
         args = [command, "--scenario", str(_gen(tmp_path))]
     with pytest.raises(SystemExit) as exc:
@@ -171,3 +182,28 @@ def test_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, command, flag, valu
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+def test_member_min_above_max_is_a_usage_error(tmp_path, capsys, command):
+    args = {"gen": ["gen", "--out", str(tmp_path / "scn.txt")],
+            "sweep": ["sweep", "--variable", "p_tx", "--values", "0.1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--member-min", "5", "--member-max", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--member-min 5 exceeds --member-max 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "solve-ra", "baseline"])
+def test_unplannable_mu_is_a_usage_error(tmp_path, capsys, command):
+    # a finite mu so large that every CH's demand is below the dwell dust cut
+    scn = _gen(tmp_path)
+    args = [command, "--scenario", str(scn), "--mu", "1e308", "--out", str(tmp_path / "o.csv")]
+    if command == "simulate":
+        args += ["--horizon", "10"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "uavm2m: error: mu=1e+308 leaves CH 0" in err and "Traceback" not in err

@@ -446,3 +446,161 @@ def test_solution_csv_layout():
     assert lines[1] == "0,6"
     assert lines[2] == "ch_id,uav_id,power_w"
     assert lines[-1].startswith("objective_w=")
+
+
+def _binding_cap(slack):
+    """`slack` with pmax at 0.999 x its uncapped optimum's peak link power."""
+    return dataclasses.replace(slack, pmax=0.999 * float(raopt.solve_reduced(slack).power.max()))
+
+
+def _cap_floor_fixtures(rng):
+    """The split-CH instances, 30 random ones, and 10 feasible binding-cap
+    instances made from random draws with at least two serving UAVs."""
+    slacks = [split_ch_instance(), split_ch_instance(6),
+              *(random_instance(rng) for _ in range(30))]
+    capped = [_binding_cap(split_ch_instance(6))]
+    while len(capped) < 11:
+        slack = random_instance(rng)
+        if len(slack.active_uavs()) < 2:
+            continue
+        inst = _binding_cap(slack)
+        try:
+            raopt._cap_floors(inst)
+        except raopt.InfeasibleInstanceError:
+            continue
+        capped.append(inst)
+    return slacks + capped
+
+
+def test_cap_floors_match_fixed_level_bisection(rng):
+    # the reference bisects every link for a fixed 80 levels, more than any
+    # bracket in [Z_MIN_ACTIVE, Z] needs to reach adjacent floats
+    capped_any = 0
+    for inst in _cap_floor_fixtures(rng):
+        links = inst.links
+        lo = np.full(len(links.ch), raopt.Z_MIN_ACTIVE)
+        hi = np.full(len(links.ch), float(inst.total_rbs))
+        capped = links.power(lo) > inst.pmax
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            too_hot = links.power(mid) > inst.pmax
+            lo = np.where(too_hot, mid, lo)
+            hi = np.where(too_hot, hi, mid)
+        expected = np.full(len(links.uavs), raopt.Z_MIN_ACTIVE)
+        np.maximum.at(expected, links.seg, np.where(capped, hi, raopt.Z_MIN_ACTIVE))
+        floors = raopt._cap_floors(inst)
+        assert np.array_equal(floors, expected)
+        capped_any += bool(np.any(floors > raopt.Z_MIN_ACTIVE))
+    assert capped_any >= 10
+
+
+def _levels(inst):
+    links = inst.links
+    floors = raopt._cap_floors(inst)
+    z_full = np.full_like(floors, float(inst.total_rbs))
+    return links, floors, z_full, -links.marginal(z_full), -links.marginal(floors)
+
+
+def test_bracketed_z_at_level_matches_cold_start(rng):
+    # z falls as the level rises, so the allocations at two levels bracket
+    # the allocation at any level between them. Both solves stop at the
+    # marginal's rounding noise: within 1e-10 where every link of the UAV
+    # has t = c/z >= 0.05, and within 1e-9 where a small t makes the
+    # marginal cancel (see test_link_kernels_match_scalar_reference)
+    for inst in _cap_floor_fixtures(rng):
+        links, floors, z_full, mu_full, mu_floor = _levels(inst)
+        span = np.log([0.5 * mu_full.min(), 2.0 * mu_floor.max()])
+        for _ in range(5):
+            low, mid, high = np.sort(np.exp(rng.uniform(*span, size=3)))
+            cold = [raopt._z_at_level(links, mu, floors, z_full, mu_full, mu_floor)
+                    for mu in (low, mid, high)]
+            assert np.all(cold[2] <= cold[1]) and np.all(cold[1] <= cold[0])
+            bracketed = raopt._z_at_level(links, mid, cold[2], cold[0], mu_full, mu_floor)
+            rel = np.abs(bracketed - cold[1]) / cold[1]
+            t_min = np.full(len(links.uavs), np.inf)
+            np.minimum.at(t_min, links.seg, links.c / cold[1][links.seg])
+            assert np.all(rel[t_min >= 0.05] <= 1e-10)
+            assert np.all(rel <= 1e-9)
+
+
+def test_z_at_level_reaches_the_root(rng):
+    # against the root of the marginal in extended precision, where every
+    # link has t = c/z >= 0.05 and the float64 marginal stays accurate; a
+    # Newton step that lands on its own bracket end is taken, not traded
+    # for a jump to the bracket's geometric mean
+    ln2 = np.log(np.longdouble(2))
+    checked = 0
+    for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
+        links, floors, z_full, mu_full, mu_floor = _levels(inst)
+        span = np.log([0.5 * mu_full.min(), 2.0 * mu_floor.max()])
+        for mu in np.exp(rng.uniform(*span, size=5)):
+            z = raopt._z_at_level(links, mu, floors, z_full, mu_full, mu_floor)
+            for i in np.flatnonzero((mu_full < mu) & (mu < mu_floor)):
+                k = links.seg == i
+                if np.min(links.c[k] / z[i]) < 0.05:
+                    continue
+                c = links.c[k].astype(np.longdouble)
+                w_coeff = (links.weight * links.coeff)[k].astype(np.longdouble)
+                lo, hi = np.longdouble(floors[i]), np.longdouble(z_full[i])
+                for _ in range(100):
+                    mid = (lo + hi) / 2
+                    t = c / mid
+                    if -np.sum(w_coeff * (2**t * (1 - t * ln2) - 1)) > mu:
+                        lo = mid
+                    else:
+                        hi = mid
+                assert z[i] == pytest.approx(float(lo), rel=1e-12)
+                checked += 1
+    assert checked >= 100
+
+
+def test_reduced_matches_cold_start_bisection(rng):
+    # reference: the same bisection with every level solved from the box
+    # [floors, Z], as before levels bracketed each other
+    for inst in _cap_floor_fixtures(rng):
+        links, floors, z_full, mu_full, mu_floor = _levels(inst)
+        big_z = float(inst.total_rbs)
+        lo = float(mu_full.min())
+        hi = float(-links.marginal(floors + (big_z - floors.sum()) / len(floors)).min())
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if raopt._z_at_level(links, mid, floors, z_full, mu_full, mu_floor).sum() > big_z:
+                lo = mid
+            else:
+                hi = mid
+        z = raopt._z_at_level(links, hi, floors, z_full, mu_full, mu_floor)
+        z[np.argmax(z)] += big_z - z.sum()
+        expected = float(links.cost(z).sum())
+        assert raopt.solve_reduced(inst).objective == pytest.approx(expected, rel=1e-12)
+
+
+def test_kkt_warm_start_residual_is_order_one(rng):
+    # the warm start's multipliers sit at the sizes of the rows they enter,
+    # so LM starts from a scaled residual of O(1), not ~4e2 in the cap rows
+    for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
+        start = next(raopt._kkt_starts(inst))
+        system = raopt.KktSystem(inst, start)
+        assert np.abs(system.residual(system.encode(start))).max() <= 1.0
+
+
+@pytest.mark.parametrize("seed,clusters,rbs", [
+    (25605609, 5, 24), (455845046, 5, 24), (234752347, 5, 12),
+    (903180690, 10, 6), (907713271, 9, 24), (1431454342, 9, 24),
+])
+def test_kkt_converges_from_the_warm_start(monkeypatch, seed, clusters, rbs):
+    # crosscheck-pool pipelines: the warm start wins in a few LM iterations
+    # (~22 when its cap multipliers started at an absolute 1e-6; on the last
+    # instance it ran out of iterations and a later start won)
+    scenario = generate_scenario(seed, clusters, 1, 10, RadioParams(total_rbs=rbs))
+    inst = harness.run_pipeline(scenario, seed=seed).instance
+    iterations = []
+    solve = lma.solve
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(raopt.lma, "solve", counted)
+    sol, _ = raopt.solve_kkt(inst)
+    assert len(iterations) == 1 and iterations[0] <= 16
+    assert sol.objective == pytest.approx(raopt.solve_reduced(inst).objective, rel=1e-6)

@@ -59,6 +59,19 @@ def test_find_dwell_parameter_errors():
         scheduler.find_dwell([0.1], 1, mu=0.0)
 
 
+def test_find_dwell_names_a_service_rate_too_large_to_plan():
+    # at mu = 1e308 each CH needs ~1e-309 of a slot, below the 1e-12 dust
+    # cut that removes subtraction slivers; CH 0 has nothing to serve
+    for plan in (lambda: scheduler.find_dwell([0.0, 0.3], 1, mu=1e308),
+                 lambda: scheduler.plan_min_fleet([0.0, 0.3], mu=1e308)):
+        with pytest.raises(ValueError, match=r"mu=1e\+308 leaves CH 1 ") as err:
+            plan()
+        assert isinstance(err.value, scheduler.UnplannableRateError)
+    # a large mu whose demands stay above the cut still plans
+    plan = scheduler.find_dwell([0.0, 0.3], 1, mu=1e10)
+    assert plan.dwell.entries[0, 1] == pytest.approx(3e-11)
+
+
 def test_min_uavs_examples():
     assert scheduler.min_uavs([0.4, 0.3]) == 1
     assert scheduler.min_uavs([1.0, 1.0]) == 2
