@@ -2,9 +2,7 @@
 
 from .channel import (
     InfeasibleLinkError,
-    LinkGain,
     achievable_bits,
-    link_gain,
     path_gain,
     required_power,
     snr_gap,
@@ -18,7 +16,7 @@ from .harness import (
     run_pipeline,
     run_sweep,
 )
-from .lma import LmaConfig, LmaResult
+from .lma import LmaResult
 from .model import (
     C_LIGHT,
     Cluster,

@@ -4,20 +4,10 @@ power/rate pair used by the resource-allocation constraints."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class InfeasibleLinkError(ValueError):
     """A link cannot carry the packet at any finite power (e.g. zero dwell)."""
-
-
-@dataclass(frozen=True)
-class LinkGain:
-    """Dimensionless channel gain of one CH-UAV link and the distance it
-    was computed from."""
-
-    gain: float
-    distance: float
 
 
 def snr_gap(ber: float) -> float:
@@ -39,10 +29,6 @@ def path_gain(distance_m: float, wavelength_m: float, nu: float) -> float:
     if nu < 2:
         raise ValueError(f"pathloss exponent must be >= 2, got {nu}")
     return (4.0 * math.pi * distance_m / wavelength_m) ** -nu
-
-
-def link_gain(distance_m: float, wavelength_m: float, nu: float) -> LinkGain:
-    return LinkGain(gain=path_gain(distance_m, wavelength_m, nu), distance=distance_m)
 
 
 def required_power(

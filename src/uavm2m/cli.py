@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import io
 import math
 import os
 import sys
@@ -72,11 +71,6 @@ def _open_out(out_path: str | None) -> Iterator[IO[str]]:
     except BrokenPipeError:
         # the interpreter flushes stdout again at exit; give that flush a sink
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-
-
-def _write_out(text: str, out_path: str | None) -> None:
-    with _open_out(out_path) as out:
-        out.write(text)
 
 
 def _load(path: str):
@@ -180,16 +174,16 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "gen":
         scenario = generate_scenario(args.seed, args.clusters, args.member_min,
                                      args.member_max, _radio_from_args(args))
-        _write_out(save_scenario(scenario), args.out)
+        with _open_out(args.out) as out:
+            out.write(save_scenario(scenario))
         return 0
 
     if args.command == "plan":
         scenario = _load(args.scenario)
         plan = scheduler.plan_min_fleet(queueing.arrival_rates(scenario), args.mu,
                                         args.slack_target)
-        buf = io.StringIO()
-        scheduler.write_plan_csv(plan, buf)
-        _write_out(buf.getvalue(), args.out)
+        with _open_out(args.out) as out:
+            scheduler.write_plan_csv(plan, out)
         print(f"u_min={plan.uav_count}", file=sys.stderr)
         return 0
 
@@ -200,7 +194,7 @@ def _run(args: argparse.Namespace) -> int:
         trace = queueing.simulate(scenario, plan.dwell, service_rate=args.mu,
                                   horizon=args.horizon, seed=args.seed,
                                   integer_service=args.integer_service)
-        with _open_out(args.out) as out:  # streamed: the text never sits whole in memory
+        with _open_out(args.out) as out:
             queueing.write_trace_csv(trace, out)
         stable = queueing.is_rate_stable(trace, args.epsilon) if args.horizon >= 1000 else None
         print(f"max_backlog_rate={float(trace.final_rates().max()):.9g} "
@@ -213,9 +207,8 @@ def _run(args: argparse.Namespace) -> int:
             scenario = dataclasses.replace(scenario, total_rbs=args.rbs)
         result = harness.run_pipeline(scenario, mu=args.mu, seed=args.seed,
                                       solver=args.solver)
-        buf = io.StringIO()
-        raopt.write_solution_csv(result.best, result.instance, buf)
-        _write_out(buf.getvalue(), args.out)
+        with _open_out(args.out) as out:
+            raopt.write_solution_csv(result.best, result.instance, out)
         line = (f"u_min={result.u_min} avg_power_w={result.avg_power_w:.9g} "
                 f"continuous_objective_w={result.continuous.objective:.9g}")
         if result.kkt_objective_w is not None:
@@ -232,9 +225,8 @@ def _run(args: argparse.Namespace) -> int:
             mu=args.mu, solver=args.solver, horizon_slots=args.horizon_slots,
         )
         rows = harness.run_sweep(spec)
-        buf = io.StringIO()
-        harness.sweep_to_csv(rows, buf)
-        _write_out(buf.getvalue(), args.out)
+        with _open_out(args.out) as out:
+            harness.sweep_to_csv(rows, out)
         return 0
 
     if args.command == "baseline":
@@ -244,10 +236,10 @@ def _run(args: argparse.Namespace) -> int:
                                     placement=args.placement)
         result = harness.run_baseline_comparison(scenario, spec, mu=args.mu,
                                                  seed=args.seed)
-        text = ("u_min,uav_avg_power_w,terrestrial_avg_power_w,reduction\n"
-                f"{result.u_min},{result.uav_avg_power_w:.9g},"
-                f"{result.terrestrial_avg_power_w:.9g},{result.reduction:.9g}\n")
-        _write_out(text, args.out)
+        with _open_out(args.out) as out:
+            out.write("u_min,uav_avg_power_w,terrestrial_avg_power_w,reduction\n"
+                      f"{result.u_min},{result.uav_avg_power_w:.9g},"
+                      f"{result.terrestrial_avg_power_w:.9g},{result.reduction:.9g}\n")
         return 0
 
     return 2  # unreachable

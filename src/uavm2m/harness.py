@@ -46,12 +46,11 @@ class PipelineResult:
         return self.rounded if self.rounded is not None else self.continuous
 
 
-def _fleet_for(scenario: ClusterScenario, u_min: int, seed: int,
-               alt_range: tuple[float, float]) -> UavFleet:
+def _fleet_for(scenario: ClusterScenario, u_min: int, seed: int) -> UavFleet:
     if scenario.fleet is not None and scenario.fleet.count == u_min:
         return scenario.fleet
     rng = np.random.default_rng(np.random.SeedSequence([seed, _ALT_SALT]))
-    alts = rng.uniform(alt_range[0], alt_range[1], size=u_min)
+    alts = rng.uniform(*DEFAULT_ALT_RANGE, size=u_min)
     return UavFleet(altitudes=tuple(float(a) for a in alts))
 
 
@@ -91,8 +90,6 @@ def run_pipeline(
     mu: float = 1.0,
     seed: int = 0,
     solver: str = "reduced",
-    slack_target: float = 0.0,
-    alt_range: tuple[float, float] = DEFAULT_ALT_RANGE,
 ) -> PipelineResult:
     """Plan a scenario end to end; `solver` is one of reduced, kkt, both.
 
@@ -104,14 +101,14 @@ def run_pipeline(
     rates = queueing.arrival_rates(scenario)
 
     try:
-        plan = scheduler.plan_min_fleet(rates, mu, slack_target)
+        plan = scheduler.plan_min_fleet(rates, mu)
     except scheduler.UnplannableRateError:
         raise  # a bad argument, not a stage failure
     except Exception as exc:
         raise RuntimeError(f"scheduler stage failed: {exc}") from exc
     u_min = plan.uav_count
 
-    fleet = _fleet_for(scenario, u_min, seed, alt_range)
+    fleet = _fleet_for(scenario, u_min, seed)
     inst = build_instance(scenario, plan, fleet)
 
     kkt_objective = None

@@ -1,9 +1,11 @@
 """Damped nonlinear least-squares (Levenberg-Marquardt) on a residual vector.
 
-Generic: hand it any residual function r(x) and a starting point. Steps solve
-the damping-regularized normal equations (J'J + lam*I) dx = J'r and are only
-accepted when they strictly reduce ||r||^2; the damping factor adapts up on
-rejection and down on acceptance.
+Generic: hand it any residual function r(x), its Jacobian and a starting
+point. Steps solve the damping-regularized normal equations
+(J'J + lam*I) dx = J'r and are only accepted when they strictly reduce
+||r||^2; the damping factor adapts up on rejection and down on acceptance.
+`numeric_jacobian` gives a forward-difference Jacobian to check an analytic
+one against.
 """
 
 from __future__ import annotations
@@ -13,28 +15,15 @@ from typing import Callable
 
 import numpy as np
 
+_DAMPING_INIT = 1e-3
+_DAMPING_UP = 10.0  # on a rejected step
+_DAMPING_DOWN = 0.1  # on an accepted step
+_MAX_ITERS = 500
+_RESIDUAL_TOL = 1e-10  # converged once ||r|| is this small ...
+_STEP_TOL = 1e-12  # ... or an accepted step this short
 # retries within one outer iteration before giving up on finding a
-# descent step (each retry raises the damping by config.damping_up)
+# descent step (each retry raises the damping by _DAMPING_UP)
 _MAX_INNER = 60
-
-
-@dataclass(frozen=True)
-class LmaConfig:
-    damping_init: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
-    max_iters: int = 500
-    residual_tol: float = 1e-10
-    step_tol: float = 1e-12
-    fd_step: float = 1e-7  # relative step for the forward-difference Jacobian
-
-    def __post_init__(self):
-        for name in ("damping_init", "damping_up", "damping_down", "max_iters",
-                     "residual_tol", "step_tol", "fd_step"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not (self.damping_up > 1 > self.damping_down):
-            raise ValueError("need damping_up > 1 > damping_down")
 
 
 @dataclass
@@ -50,12 +39,10 @@ class LmaResult:
 
 def numeric_jacobian(residual_fn: Callable[[np.ndarray], np.ndarray],
                      x: np.ndarray,
-                     r0: np.ndarray | None = None,
                      fd_step: float = 1e-7) -> np.ndarray:
     """Forward-difference Jacobian with per-coordinate step fd_step * max(|x_i|, 1)."""
     x = np.asarray(x, dtype=float)
-    if r0 is None:
-        r0 = np.asarray(residual_fn(x), dtype=float)
+    r0 = np.asarray(residual_fn(x), dtype=float)
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
         h = fd_step * max(abs(x[i]), 1.0)
@@ -67,9 +54,10 @@ def numeric_jacobian(residual_fn: Callable[[np.ndarray], np.ndarray],
 
 def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
           x0,
-          config: LmaConfig = LmaConfig(),
-          jacobian: Callable[[np.ndarray], np.ndarray] | None = None) -> LmaResult:
-    """Minimize ||residual_fn(x)||^2 from x0; returns the best point found.
+          *,
+          jacobian: Callable[[np.ndarray], np.ndarray]) -> LmaResult:
+    """Minimize ||residual_fn(x)||^2 from x0, with `jacobian(x)` the
+    Jacobian of the residual; returns the best point found.
 
     Deterministic: identical inputs produce identical iterates. The residual
     must be finite at x0; non-finite residuals at trial points just reject
@@ -81,20 +69,17 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
     if not np.all(np.isfinite(r)):
         raise ValueError("residual is not finite at the initial point")
 
-    lam = config.damping_init
+    lam = _DAMPING_INIT
     cost = float(r @ r)
     norm = float(np.sqrt(cost))
     accepted = [cost]
     best_x, best_norm = x.copy(), norm
-    converged = norm <= config.residual_tol
+    converged = norm <= _RESIDUAL_TOL
     iters = 0
 
-    while not converged and iters < config.max_iters:
+    while not converged and iters < _MAX_ITERS:
         iters += 1
-        if jacobian is not None:
-            jac = np.asarray(jacobian(x), dtype=float)
-        else:
-            jac = numeric_jacobian(residual_fn, x, r0=r, fd_step=config.fd_step)
+        jac = np.asarray(jacobian(x), dtype=float)
         if not np.all(np.isfinite(jac)):
             break  # cannot build a step from here; report best point so far
         jtj = jac.T @ jac
@@ -106,10 +91,10 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
             try:
                 delta = np.linalg.solve(jtj + lam * eye, jtr)
             except np.linalg.LinAlgError:
-                lam *= config.damping_up
+                lam *= _DAMPING_UP
                 continue
             if not np.all(np.isfinite(delta)):
-                lam *= config.damping_up
+                lam *= _DAMPING_UP
                 continue
             x_try = x - delta
             r_try = np.asarray(residual_fn(x_try), dtype=float)
@@ -117,9 +102,9 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
                 step = delta
                 x, r = x_try, r_try
                 cost = float(r @ r)
-                lam = max(lam * config.damping_down, 1e-15)
+                lam = max(lam * _DAMPING_DOWN, 1e-15)
                 break
-            lam *= config.damping_up
+            lam *= _DAMPING_UP
         if step is None:
             break  # no descent step available at any damping
 
@@ -127,7 +112,7 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
         accepted.append(cost)
         if norm < best_norm:
             best_x, best_norm = x.copy(), norm
-        if norm <= config.residual_tol or float(np.linalg.norm(step)) <= config.step_tol:
+        if norm <= _RESIDUAL_TOL or float(np.linalg.norm(step)) <= _STEP_TOL:
             converged = True
 
     return LmaResult(solution=best_x, residual_norm=best_norm, iterations=iters,

@@ -174,6 +174,31 @@ class DwellMatrix:
         )
 
 
+# scenario file scalar key (also the RadioParams field), in writing order
+# -> ClusterScenario attribute
+_SCALAR_KEYS = (
+    ("area_m", "area_side"),
+    ("carrier_hz", "carrier_hz"),
+    ("rb_bandwidth_hz", "rb_bandwidth_hz"),
+    ("noise_psd_w_per_hz", "noise_psd"),
+    ("pathloss_exponent", "pathloss_exp"),
+    ("ber_target", "ber_target"),
+    ("packet_bits", "packet_bits"),
+    ("p_tx", "p_tx"),
+    ("pmax_w", "pmax_w"),
+    ("total_rbs", "total_rbs"),
+    ("slot_seconds", "slot_seconds"),
+)
+_INT_KEYS = {"total_rbs"}
+
+
+def _scenario(radio: RadioParams, clusters: tuple[Cluster, ...],
+              fleet: UavFleet | None = None) -> ClusterScenario:
+    """The scenario of `clusters` (and `fleet`) under `radio`."""
+    return ClusterScenario(clusters=clusters, fleet=fleet,
+                           **{attr: getattr(radio, key) for key, attr in _SCALAR_KEYS})
+
+
 def generate_scenario(
     seed: int,
     num_clusters: int,
@@ -198,37 +223,7 @@ def generate_scenario(
         Cluster(id=g, position=(float(xy[g, 0]), float(xy[g, 1])), members=int(members[g]))
         for g in range(num_clusters)
     )
-    return ClusterScenario(
-        area_side=radio.area_m,
-        clusters=clusters,
-        p_tx=radio.p_tx,
-        packet_bits=radio.packet_bits,
-        rb_bandwidth_hz=radio.rb_bandwidth_hz,
-        total_rbs=radio.total_rbs,
-        noise_psd=radio.noise_psd_w_per_hz,
-        carrier_hz=radio.carrier_hz,
-        pathloss_exp=radio.pathloss_exponent,
-        ber_target=radio.ber_target,
-        pmax_w=radio.pmax_w,
-        slot_seconds=radio.slot_seconds,
-    )
-
-
-# scenario file scalar keys, in writing order -> attribute name
-_SCALAR_KEYS = (
-    ("area_m", "area_side"),
-    ("carrier_hz", "carrier_hz"),
-    ("rb_bandwidth_hz", "rb_bandwidth_hz"),
-    ("noise_psd_w_per_hz", "noise_psd"),
-    ("pathloss_exponent", "pathloss_exp"),
-    ("ber_target", "ber_target"),
-    ("packet_bits", "packet_bits"),
-    ("p_tx", "p_tx"),
-    ("pmax_w", "pmax_w"),
-    ("total_rbs", "total_rbs"),
-    ("slot_seconds", "slot_seconds"),
-)
-_INT_KEYS = {"total_rbs"}
+    return _scenario(radio, clusters)
 
 
 def save_scenario(scenario: ClusterScenario) -> str:
@@ -327,21 +322,7 @@ def load_scenario(text: str) -> ClusterScenario:
 
     fleet = UavFleet(altitudes=tuple(altitudes)) if altitudes else None
     try:
-        return ClusterScenario(
-            area_side=scalars["area_m"],
-            clusters=tuple(clusters),
-            p_tx=scalars["p_tx"],
-            packet_bits=scalars["packet_bits"],
-            rb_bandwidth_hz=scalars["rb_bandwidth_hz"],
-            total_rbs=scalars["total_rbs"],
-            noise_psd=scalars["noise_psd_w_per_hz"],
-            carrier_hz=scalars["carrier_hz"],
-            pathloss_exp=scalars["pathloss_exponent"],
-            ber_target=scalars["ber_target"],
-            pmax_w=scalars["pmax_w"],
-            slot_seconds=scalars["slot_seconds"],
-            fleet=fleet,
-        )
+        return _scenario(RadioParams(**scalars), tuple(clusters), fleet)
     except ValueError as exc:
         message = str(exc)
         for key, attr in _SCALAR_KEYS:  # name the offending line when a

@@ -12,14 +12,17 @@ Three independent routes are provided and cross-checked against each other:
 * `solve_kkt`   - assembles the first-order optimality system of the relaxed
   convex program (power-delivery constraints tight, one power cap per link,
   multipliers nonnegative) and solves it as a nonlinear root-finding problem
-  with Levenberg-Marquardt, once from each of a short list of starts that
-  keep the caps; the first, a warm start with every multiplier at the size
-  of the rows it enters, converges in ~12 iterations on 5-10 cluster plans.
+  with Levenberg-Marquardt, once from each of two starts that keep the
+  caps; the first, a warm start with every multiplier at the size of the
+  rows it enters, converges in ~12 iterations on 5-10 cluster plans, and the
+  second, an even share of the spare blocks, catches binding caps.
 * `solve_reduced` - eliminates powers through the tight delivery constraint
   and minimizes the remaining separable convex function of z by bisecting on
   the shared multiplier that equalizes per-UAV marginal costs, solving for
   every UAV's RB count at once with a bracketed Newton iteration that starts
-  from the allocations at the two levels bracketing the multiplier.
+  from the allocations at the two levels bracketing the multiplier; each
+  Newton step reads the marginal cost and its curvature from one pass over
+  the links (`LinkView.slopes`).
 * `brute_force` - exact enumeration over integer allocations (small sizes).
 
 All routes read `RaInstance.links`, one array view of the served links
@@ -114,16 +117,15 @@ class LinkView:
         """Per serving UAV: dwell-weighted power of its links."""
         return self.per_uav(self.weight * self.power(z[self.seg]))
 
-    def marginal(self, z: np.ndarray) -> np.ndarray:
-        """Per serving UAV: d cost / dz, negative and increasing in z."""
-        t = self.c / z[self.seg]
-        return self.per_uav(self.weight * self.coeff * (2.0**t * (1.0 - t * _LN2) - 1.0))
-
-    def curvature(self, z: np.ndarray) -> np.ndarray:
-        """Per serving UAV: d2 cost / dz2, positive."""
+    def slopes(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per serving UAV: d cost / dz, negative and increasing in z, and
+        d2 cost / dz2, positive; one pass over the links for both."""
         z_link = z[self.seg]
         t = self.c / z_link
-        return self.per_uav(self.weight * self.coeff * 2.0**t * (t * _LN2) ** 2 / z_link)
+        e = 2.0**t
+        w_coeff = self.weight * self.coeff
+        return (self.per_uav(w_coeff * (e * (1.0 - t * _LN2) - 1.0)),
+                self.per_uav(w_coeff * e * (t * _LN2) ** 2 / z_link))
 
     def per_uav(self, per_link: np.ndarray) -> np.ndarray:
         """Sum of a per-link quantity over the links of each serving UAV."""
@@ -552,19 +554,19 @@ def _initial_point(inst: RaInstance, z_serving: np.ndarray, lam_budget: float,
 
 
 def _kkt_starts(inst: RaInstance) -> Iterator[KktPoint]:
-    """Start points of `solve_kkt`, made one at a time in the order tried.
-    Each puts every serving UAV at its cap floor plus a share of the blocks
-    the floors leave over, so every start keeps the power caps: first the
-    share of a small-exponent warm start, then an even share, halved and
-    quartered.
+    """The two start points of `solve_kkt`, made one at a time in the order
+    tried. Each puts every serving UAV at its cap floor plus a share of the
+    blocks the floors leave over, so both keep the power caps: first the
+    share of a small-exponent warm start, then an even share.
 
     The warm start sets the budget multiplier at sigma, the median size of
     the RB-stationarity rows there (`_row_scales`), and the RB cap
     multipliers at 1e-6 * sigma, so every entry of its scaled residual is
     O(1); absolute values of 1e-6 against sigma ~ 1e-9 put the cap rows
-    near 4e2 and cost LM ~10 iterations. The other starts keep absolute
-    1e-6 multipliers: they are the fallbacks for the instances the warm
-    start misses, binding caps among them."""
+    near 4e2 and cost LM ~10 iterations. The even start keeps absolute 1e-6
+    multipliers: it is the fallback for the binding-cap instances the warm
+    start misses. Smaller even shares never win on the benchmark pool or
+    on its binding-cap variants."""
     links = inst.links
     floors = _cap_floors(inst)
     spare = max(float(inst.total_rbs) - floors.sum(), 0.0)
@@ -576,8 +578,7 @@ def _kkt_starts(inst: RaInstance) -> Iterator[KktPoint]:
     warm = floors + spare * np.sqrt(k_load) / np.sum(np.sqrt(k_load))
     sigma = _row_scales(inst, warm)[1]
     yield _initial_point(inst, warm, sigma, 1e-6 * sigma)
-    for factor in (1.0, 0.5, 0.25):
-        yield _initial_point(inst, floors + factor * spare / len(floors), 1e-6, 1e-6)
+    yield _initial_point(inst, floors + spare / len(floors), 1e-6, 1e-6)
 
 
 def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
@@ -631,11 +632,11 @@ def _z_at_level(links: LinkView, mu: float, z_min: np.ndarray, z_max: np.ndarray
     free = (mu_full < mu) & (mu < mu_floor)
     lo, z, hi = z_min, z_max, z_max
     for _ in range(100):
-        slope = links.marginal(z)
+        slope, bend = links.slopes(z)
         g = np.log(-slope / mu)  # > 0 while z is below its root
         lo = np.where(g > 0, z, lo)
         hi = np.where(g > 0, hi, z)
-        z_new = z * np.exp(-g * slope / (z * links.curvature(z)))
+        z_new = z * np.exp(-g * slope / (z * bend))
         z_new = np.where((lo <= z_new) & (z_new <= hi), z_new, np.sqrt(lo * hi))
         z_new = np.where(free, z_new, z)
         done = np.all(np.abs(z_new - z) <= 1e-10 * z)
@@ -665,12 +666,12 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
     big_z = float(inst.total_rbs)
     floors = _cap_floors(inst)
     z_full = np.full_like(floors, big_z)
-    mu_full = -links.marginal(z_full)
-    mu_floor = -links.marginal(floors)
+    mu_full = -links.slopes(z_full)[0]
+    mu_floor = -links.slopes(floors)[0]
     # at mu = lo some UAV takes all of Z; at mu = hi every UAV takes at most
     # its floor plus an even share of the slack, so the level lies between
     lo = float(mu_full.min())
-    hi = float(-links.marginal(floors + (big_z - floors.sum()) / len(floors)).min())
+    hi = float(-links.slopes(floors + (big_z - floors.sum()) / len(floors))[0].min())
     # z at levels lo and hi once solved; [floors, Z] brackets every level
     z_lo, z_hi = z_full, floors
     while lo < (mid := 0.5 * (lo + hi)) < hi:

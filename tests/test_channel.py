@@ -118,9 +118,3 @@ def test_rb_cost_convexity_witness(rng):
         f = lambda z: (2.0 ** (c / z) - 1.0) * z
         mid = f((a + b) / 2.0)
         assert mid <= (f(a) + f(b)) / 2.0 + 1e-12 * max(f(a), f(b))
-
-
-def test_link_gain_wrapper():
-    lg = channel.link_gain(500.0, 0.15, 2.5)
-    assert lg.distance == 500.0
-    assert lg.gain == channel.path_gain(500.0, 0.15, 2.5)

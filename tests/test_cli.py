@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from uavm2m import cli, harness, queueing, scheduler
+from uavm2m import cli, queueing, scheduler
 from uavm2m.model import load_scenario
 
 
@@ -145,8 +145,8 @@ def test_slack_target_sizes_the_fleet(tmp_path, capsys):
     assert cli.main(["plan", "--scenario", str(scn), "--slack-target", "0.05",
                      "--out", str(out)]) == 0
     assert "u_min=14" in capsys.readouterr().err
-    result = harness.run_pipeline(load_scenario(scn.read_text()), slack_target=0.05)
-    assert result.u_min == 14
+    rates = queueing.arrival_rates(load_scenario(scn.read_text()))
+    assert scheduler.plan_min_fleet(rates, slack_target=0.05).uav_count == 14
     assert out.read_text().splitlines()[0] == "uav_id,ch_id,dwell_fraction"
     assert cli.main(["simulate", "--scenario", str(scn), "--slack-target", "0.05",
                      "--horizon", "10", "--out", str(tmp_path / "trace.csv")]) == 0

@@ -4,23 +4,29 @@ import pytest
 from uavm2m import lma
 
 
+def _rosenbrock(x):
+    return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+
+
+def _rosenbrock_jacobian(x):
+    return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+
 def test_scalar_root():
-    res = lma.solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0])
+    res = lma.solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0],
+                    jacobian=lambda x: np.array([[2.0 * x[0]]]))
     assert res.converged
     assert res.solution[0] == pytest.approx(2.0, abs=1e-8)
 
 
 def test_rosenbrock_from_standard_start():
-    def residual(x):
-        return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
-
-    res = lma.solve(residual, [-1.2, 1.0])
+    res = lma.solve(_rosenbrock, [-1.2, 1.0], jacobian=_rosenbrock_jacobian)
     assert res.converged
     assert res.solution == pytest.approx([1.0, 1.0], abs=1e-6)
 
 
 def test_linear_residual():
-    res = lma.solve(lambda x: np.array([x[0]]), [5.0])
+    res = lma.solve(lambda x: np.array([x[0]]), [5.0], jacobian=lambda x: np.eye(1))
     assert res.converged
     assert abs(res.solution[0]) < 1e-10
 
@@ -29,7 +35,10 @@ def test_accepted_costs_strictly_decrease():
     def residual(x):
         return np.array([x[0] ** 2 - 4.0, np.sin(x[1]) - 0.3, x[0] * x[1] - 1.0])
 
-    res = lma.solve(residual, [4.0, 2.0])
+    def jacobian(x):
+        return np.array([[2.0 * x[0], 0.0], [0.0, np.cos(x[1])], [x[1], x[0]]])
+
+    res = lma.solve(residual, [4.0, 2.0], jacobian=jacobian)
     assert len(res.accepted_costs) > 3
     assert all(a > b for a, b in zip(res.accepted_costs, res.accepted_costs[1:]))
 
@@ -38,8 +47,11 @@ def test_deterministic_iterates():
     def residual(x):
         return np.array([np.exp(x[0]) - 3.0, x[0] + x[1] ** 3])
 
-    a = lma.solve(residual, [0.5, 0.5])
-    b = lma.solve(residual, [0.5, 0.5])
+    def jacobian(x):
+        return np.array([[np.exp(x[0]), 0.0], [1.0, 3.0 * x[1] ** 2]])
+
+    a = lma.solve(residual, [0.5, 0.5], jacobian=jacobian)
+    b = lma.solve(residual, [0.5, 0.5], jacobian=jacobian)
     assert np.array_equal(a.solution, b.solution)
     assert a.accepted_costs == b.accepted_costs
     assert a.iterations == b.iterations
@@ -88,14 +100,15 @@ def test_singular_normal_equations_never_crash():
     def residual(x):
         return np.array([x[0] + x[1] - 1.0, 0.0 * x[0]])
 
-    res = lma.solve(residual, [10.0, -3.0])
+    res = lma.solve(residual, [10.0, -3.0],
+                    jacobian=lambda x: np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert res.converged
     assert res.solution[0] + res.solution[1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_nonfinite_at_start_raises():
     with pytest.raises(ValueError):
-        lma.solve(lambda x: np.array([np.nan]), [1.0])
+        lma.solve(lambda x: np.array([np.nan]), [1.0], jacobian=lambda x: np.zeros((1, 1)))
 
 
 def test_nonfinite_trial_points_are_rejected():
@@ -105,22 +118,14 @@ def test_nonfinite_trial_points_are_rejected():
             return np.array([np.inf])
         return np.array([np.log(x[0])])
 
-    res = lma.solve(residual, [3.0])
+    res = lma.solve(residual, [3.0], jacobian=lambda x: np.array([[1.0 / x[0]]]))
     assert res.converged
     assert res.solution[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_iteration_budget_respected():
-    def residual(x):  # narrow curved valley; needs well over 3 iterations
-        return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
-
-    res = lma.solve(residual, [-1.2, 1.0], lma.LmaConfig(max_iters=3))
+def test_iteration_budget_respected(monkeypatch):
+    # narrow curved valley; needs well over 3 iterations
+    monkeypatch.setattr(lma, "_MAX_ITERS", 3)
+    res = lma.solve(_rosenbrock, [-1.2, 1.0], jacobian=_rosenbrock_jacobian)
     assert res.iterations == 3
     assert not res.converged
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        lma.LmaConfig(damping_up=0.5)
-    with pytest.raises(ValueError):
-        lma.LmaConfig(max_iters=0)

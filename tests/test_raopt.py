@@ -231,7 +231,7 @@ def test_reduced_solves_instances_with_binding_caps(rng):
         # held at its floor gains less from a block and would give blocks
         # away if its cap allowed
         links = inst.links
-        level = -links.marginal(sol.z[links.uavs])
+        level = -links.slopes(sol.z[links.uavs])[0]
         hot = sol.power[links.ch, links.uav] >= inst.pmax * (1 - 1e-6)
         at_floor = np.bincount(links.seg, weights=hot, minlength=len(links.uavs)) > 0
         binding += bool(at_floor.any())
@@ -282,7 +282,8 @@ def test_link_kernels_match_scalar_reference(rng):
             coeff = inst.rb_bandwidth * inst.noise_psd / (inst.beta * inst.gains[g, u])
             ref_marginal[i] += d[u, g] * coeff * raopt.rb_term_derivative(c, z[i])
         np.testing.assert_allclose(links.cost(z), ref_cost, rtol=1e-12)
-        np.testing.assert_allclose(links.marginal(z), ref_marginal, rtol=1e-12)
+        marginal, curvature = links.slopes(z)
+        np.testing.assert_allclose(marginal, ref_marginal, rtol=1e-12)
         # curvature against central differences of the marginal, computed in
         # extended precision as in the rb_term_derivative test
         c = links.c.astype(np.longdouble)
@@ -295,7 +296,31 @@ def test_link_kernels_match_scalar_reference(rng):
 
         h = np.longdouble(1e-6) * z.astype(np.longdouble)
         numeric = (marginal_ld(z + h) - marginal_ld(z - h)) / (2 * h)
-        np.testing.assert_allclose(links.curvature(z), numeric.astype(float), rtol=1e-6)
+        np.testing.assert_allclose(curvature, numeric.astype(float), rtol=1e-6)
+
+
+def test_slopes_match_the_former_kernels(rng):
+    # the marginal and curvature expressions as they stood when each had its
+    # own pass over the links; the one-pass kernel keeps their operation
+    # order, so it must agree bit for bit
+    def marginal(links, z):
+        t = links.c / z[links.seg]
+        return links.per_uav(links.weight * links.coeff * (2.0**t * (1.0 - t * np.log(2.0)) - 1.0))
+
+    def curvature(links, z):
+        z_link = z[links.seg]
+        t = links.c / z_link
+        return links.per_uav(links.weight * links.coeff * 2.0**t * (t * np.log(2.0)) ** 2 / z_link)
+
+    for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
+        links = inst.links
+        floors = raopt._cap_floors(inst)
+        big_z = float(inst.total_rbs)
+        for z in (floors, np.full_like(floors, big_z),
+                  *(rng.uniform(floors, big_z) for _ in range(5))):
+            slope, bend = links.slopes(z)
+            assert np.array_equal(slope, marginal(links, z))
+            assert np.array_equal(bend, curvature(links, z))
 
 
 def test_objective_decreases_with_budget(rng):
@@ -498,7 +523,7 @@ def _levels(inst):
     links = inst.links
     floors = raopt._cap_floors(inst)
     z_full = np.full_like(floors, float(inst.total_rbs))
-    return links, floors, z_full, -links.marginal(z_full), -links.marginal(floors)
+    return links, floors, z_full, -links.slopes(z_full)[0], -links.slopes(floors)[0]
 
 
 def test_bracketed_z_at_level_matches_cold_start(rng):
@@ -561,7 +586,7 @@ def test_reduced_matches_cold_start_bisection(rng):
         links, floors, z_full, mu_full, mu_floor = _levels(inst)
         big_z = float(inst.total_rbs)
         lo = float(mu_full.min())
-        hi = float(-links.marginal(floors + (big_z - floors.sum()) / len(floors)).min())
+        hi = float(-links.slopes(floors + (big_z - floors.sum()) / len(floors))[0].min())
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             if raopt._z_at_level(links, mid, floors, z_full, mu_full, mu_floor).sum() > big_z:
                 lo = mid
@@ -580,6 +605,45 @@ def test_kkt_warm_start_residual_is_order_one(rng):
         start = next(raopt._kkt_starts(inst))
         system = raopt.KktSystem(inst, start)
         assert np.abs(system.residual(system.encode(start))).max() <= 1.0
+
+
+def test_kkt_starts_are_the_warm_and_even_shares(rng):
+    # two starts, each at or above every UAV's cap floor, so both keep every
+    # link's power cap, on binding-cap instances too; the second is the
+    # even share of the blocks the floors leave over
+    for inst in _cap_floor_fixtures(rng):
+        links = inst.links
+        floors = raopt._cap_floors(inst)
+        starts = list(raopt._kkt_starts(inst))
+        assert len(starts) == 2
+        for start in starts:
+            assert np.all(start.z[links.uavs] >= floors)
+            assert np.all(start.power[links.ch, links.uav] <= inst.pmax)
+        even = floors + (inst.total_rbs - floors.sum()) / len(floors)
+        np.testing.assert_array_equal(starts[1].z[links.uavs], even)
+
+
+@pytest.mark.xfail(strict=True, reason="RB stationarity prices z_u <= Z with -lam_rb_cap; "
+                                       "the Lagrangian of that constraint gives +lam_rb_cap")
+def test_rb_cap_multiplier_enters_rb_stationarity_with_a_plus_sign():
+    # one link at z = Z with both the RB cap and the budget active: RB
+    # stationarity needs lam_budget + lam_rb_cap = s, where s is the size of
+    # the delivery term. lam_rb_cap = 1 and lam_budget = 1 + s break it by 2,
+    # but with the cap multiplier's sign flipped the row reads zero
+    inst = single_link_instance()
+    big_z = float(inst.total_rbs)
+    point = _zeroed_point(inst, z_value=big_z)
+    point.power[0, 0] = inst.pair_power(0, 0, big_z)
+    point.lam_rate[0, 0] = inst.dwell.entries[0, 0]
+    c, coeff = inst.pair_constants(0, 0)
+    s = -point.lam_rate[0, 0] * coeff * raopt.rb_term_derivative(c, big_z)
+    point.lam_rb_cap[0] = 1.0
+    point.lam_budget = 1.0 + s
+    _, _, _, _, stat_z, _, _ = _kkt_block_offsets(inst)
+    assert abs(raopt.kkt_residuals(point, inst)[stat_z]) >= 1.0
+    system = raopt.KktSystem(inst, point)
+    scaled = system.residual(system.encode(point)) * system.row_scale
+    assert abs(scaled[stat_z]) >= 1.0
 
 
 @pytest.mark.parametrize("seed,clusters,rbs", [
