@@ -55,6 +55,8 @@ def _checked(convert, accept, rule: str):
 _at_least_one = _checked(int, lambda v: v >= 1, ">= 1")
 _positive = _checked(float, lambda v: 0 < v < math.inf, "finite and > 0")
 _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_unit_interval = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_at_least_two = _checked(float, lambda v: 2 <= v < math.inf, "finite and >= 2")
 
 
 @contextlib.contextmanager
@@ -78,18 +80,26 @@ def _load(path: str):
         return load_scenario(fh.read())
 
 
+# gen/sweep scenario flag (its argparse dest) -> the RadioParams field it sets
+_RADIO_FLAGS = {"area": "area_side", "p_tx": "p_tx", "rbs": "total_rbs",
+                "packet_bits": "packet_bits"}
+
+
 def _radio_from_args(args) -> RadioParams:
-    radio = RadioParams()
-    overrides = {}
-    if args.area is not None:
-        overrides["area_m"] = args.area
-    if args.p_tx is not None:
-        overrides["p_tx"] = args.p_tx
-    if args.rbs is not None:
-        overrides["total_rbs"] = args.rbs
-    if args.packet_bits is not None:
-        overrides["packet_bits"] = args.packet_bits
-    return dataclasses.replace(radio, **overrides) if overrides else radio
+    return RadioParams(**{field: getattr(args, dest) for dest, field in _RADIO_FLAGS.items()
+                          if getattr(args, dest) is not None})
+
+
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that draw a scenario, shared by gen and sweep."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--clusters", type=_at_least_one, default=20)
+    p.add_argument("--member-min", type=_at_least_one, default=1)
+    p.add_argument("--member-max", type=_at_least_one, default=10)
+    p.add_argument("--area", type=_positive, default=None)
+    p.add_argument("--p-tx", type=_unit_interval, default=None)
+    p.add_argument("--rbs", type=_at_least_one, default=None)
+    p.add_argument("--packet-bits", type=_positive, default=None)
 
 
 def _add_common(p: argparse.ArgumentParser, scenario: bool = True) -> None:
@@ -110,14 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random scenario file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=_at_least_one, default=20)
-    p.add_argument("--member-min", type=_at_least_one, default=1)
-    p.add_argument("--member-max", type=_at_least_one, default=10)
-    p.add_argument("--area", type=float, default=None)
-    p.add_argument("--p-tx", type=float, default=None)
-    p.add_argument("--rbs", type=_at_least_one, default=None)
-    p.add_argument("--packet-bits", type=float, default=None)
+    _add_scenario_flags(p)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("plan", help="dwell plan and minimum UAV count")
@@ -142,14 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--values", type=_parse_values, required=True,
                    help="comma list a,b,c or inclusive range a:b:step")
     p.add_argument("--replications", type=_at_least_one, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=_at_least_one, default=20)
-    p.add_argument("--member-min", type=_at_least_one, default=1)
-    p.add_argument("--member-max", type=_at_least_one, default=10)
-    p.add_argument("--area", type=float, default=None)
-    p.add_argument("--p-tx", type=float, default=None)
-    p.add_argument("--rbs", type=_at_least_one, default=None)
-    p.add_argument("--packet-bits", type=float, default=None)
+    _add_scenario_flags(p)
     p.add_argument("--mu", type=_positive, default=1.0)
     p.add_argument("--solver", choices=("kkt", "reduced", "both"), default="reduced")
     p.add_argument("--horizon-slots", type=_at_least_one, default=1)
@@ -157,8 +153,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("baseline", help="UAV vs terrestrial power comparison")
     _add_common(p)
-    p.add_argument("--bs-height", type=float, default=25.0)
-    p.add_argument("--bs-exponent", type=float, default=3.5)
+    p.add_argument("--bs-height", type=_positive, default=25.0)
+    p.add_argument("--bs-exponent", type=_at_least_two, default=3.5)
     p.add_argument("--placement", choices=("grid", "at_cluster_heads"), default="grid")
 
     args = parser.parse_args(argv)
@@ -166,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--member-min {args.member_min} exceeds --member-max {args.member_max}")
     try:
         return _run(args)
-    except scheduler.UnplannableRateError as err:
+    except (scheduler.UnplannableRateError, argparse.ArgumentTypeError) as err:
         parser.error(str(err))
 
 
@@ -217,13 +213,17 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "sweep":
-        spec = harness.SweepSpec(
-            variable=args.variable, values=args.values,
-            replications=args.replications, base_seed=args.seed,
-            num_clusters=args.clusters, member_min=args.member_min,
-            member_max=args.member_max, radio=_radio_from_args(args),
-            mu=args.mu, solver=args.solver, horizon_slots=args.horizon_slots,
-        )
+        radio = _radio_from_args(args)
+        try:
+            spec = harness.SweepSpec(
+                variable=args.variable, values=args.values,
+                replications=args.replications, base_seed=args.seed,
+                num_clusters=args.clusters, member_min=args.member_min,
+                member_max=args.member_max, radio=radio,
+                mu=args.mu, solver=args.solver, horizon_slots=args.horizon_slots,
+            )
+        except ValueError as err:  # a value the swept variable cannot take
+            raise argparse.ArgumentTypeError(f"argument --values: {err}") from None
         rows = harness.run_sweep(spec)
         with _open_out(args.out) as out:
             harness.sweep_to_csv(rows, out)

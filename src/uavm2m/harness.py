@@ -34,8 +34,6 @@ class PipelineResult:
     rounded: raopt.RaSolution | None  # None when `round_rbs` fails, e.g. u_min > RB budget
     # from the continuous optimum: time-averaged transmit power per served CH
     avg_power_w: float
-    # from the rounded allocation when rounding ran, else the continuous one
-    avg_rbs_per_uav: float
     # from the continuous optimum: objective * slot duration
     energy_per_slot_j: float
     kkt_objective_w: float | None = None  # set when solver includes the kkt route
@@ -44,6 +42,11 @@ class PipelineResult:
     @property
     def best(self) -> raopt.RaSolution:
         return self.rounded if self.rounded is not None else self.continuous
+
+    @property
+    def avg_rbs_per_uav(self) -> float:
+        """From the rounded allocation when rounding ran, else the continuous one."""
+        return float(self.best.z.sum() / self.fleet.count)
 
 
 def _fleet_for(scenario: ClusterScenario, u_min: int, seed: int) -> UavFleet:
@@ -132,12 +135,10 @@ def run_pipeline(
         # the fractional allocation stands on its own
         rounded = None
 
-    reported = rounded if rounded is not None else continuous
     return PipelineResult(
         u_min=u_min, plan=plan, fleet=fleet, instance=inst,
         continuous=continuous, rounded=rounded,
         avg_power_w=average_ch_power(inst, continuous),
-        avg_rbs_per_uav=float(reported.z.sum() / fleet.count),
         energy_per_slot_j=continuous.objective * scenario.slot_seconds,
         kkt_objective_w=kkt_objective, kkt_point=kkt_point,
     )
@@ -148,6 +149,7 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 
 SWEEP_VARIABLES = ("num_clusters", "p_tx", "total_rbs", "packet_bits")
+_COUNT_VARIABLES = ("num_clusters", "total_rbs")  # swept over whole values only
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,10 @@ class SweepSpec:
             raise ValueError("values must be nonempty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.variable in _COUNT_VARIABLES:
+            for v in self.values:
+                if not float(v).is_integer():
+                    raise ValueError(f"{self.variable} values must be whole numbers, got {v}")
 
 
 def derive_seed(base_seed: int, value_index: int, replication: int) -> int:
@@ -183,17 +189,11 @@ def derive_seed(base_seed: int, value_index: int, replication: int) -> int:
 
 
 def _scenario_for(spec: SweepSpec, value: float, seed: int) -> ClusterScenario:
-    radio = spec.radio
-    num_clusters = spec.num_clusters
+    value = int(value) if spec.variable in _COUNT_VARIABLES else float(value)
     if spec.variable == "num_clusters":
-        num_clusters = int(value)
-    elif spec.variable == "p_tx":
-        radio = replace(radio, p_tx=float(value))
-    elif spec.variable == "total_rbs":
-        radio = replace(radio, total_rbs=int(value))
-    else:
-        radio = replace(radio, packet_bits=float(value))
-    return generate_scenario(seed, num_clusters, spec.member_min, spec.member_max, radio)
+        return generate_scenario(seed, value, spec.member_min, spec.member_max, spec.radio)
+    radio = replace(spec.radio, **{spec.variable: value})  # a RadioParams field
+    return generate_scenario(seed, spec.num_clusters, spec.member_min, spec.member_max, radio)
 
 
 SWEEP_COLUMNS = ("value", "replication", "seed", "u_min", "avg_power_w",

@@ -8,7 +8,7 @@ can be written to / read from a plain-text ``key = value`` file, see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,43 +54,21 @@ class UavFleet:
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Radio/traffic parameters of a scenario (defaults: 15 kHz RBs, 2 GHz
-    carrier, -170 dBm/Hz noise, 100-bit packets, 1 W power cap)."""
+    """The scalar parameters of a scenario, in scenario-file order, with their
+    range checks (defaults: 500 m area side, 2 GHz carrier, 15 kHz RBs,
+    -170 dBm/Hz noise, 100-bit packets, 1 W power cap, 12 RBs)."""
 
-    area_m: float = 500.0
+    area_side: float = 500.0
     carrier_hz: float = 2.0e9
     rb_bandwidth_hz: float = 15.0e3
-    noise_psd_w_per_hz: float = 1.0e-20
-    pathloss_exponent: float = 2.5
+    noise_psd: float = 1.0e-20
+    pathloss_exp: float = 2.5
     ber_target: float = 1.0e-7
     packet_bits: float = 100.0
     p_tx: float = 0.1
     pmax_w: float = 1.0
     total_rbs: int = 12
     slot_seconds: float = 1.0
-
-
-@dataclass(frozen=True)
-class ClusterScenario:
-    """Full problem instance: clusters plus radio parameters.
-
-    ``fleet`` is optional because the UAV count is usually only known after
-    planning; a scenario file without ``[uavs]`` rows loads with fleet=None.
-    """
-
-    area_side: float
-    clusters: tuple[Cluster, ...]
-    p_tx: float
-    packet_bits: float
-    rb_bandwidth_hz: float
-    total_rbs: int
-    noise_psd: float
-    carrier_hz: float
-    pathloss_exp: float
-    ber_target: float
-    pmax_w: float
-    slot_seconds: float = 1.0
-    fleet: UavFleet | None = None
 
     def __post_init__(self):
         if not (0 <= self.p_tx <= 1):
@@ -109,6 +87,21 @@ class ClusterScenario:
             raise ValueError(f"area_side must be > 0, got {self.area_side}")
         if not self.slot_seconds > 0:
             raise ValueError(f"slot_seconds must be > 0, got {self.slot_seconds}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ClusterScenario(RadioParams):
+    """Full problem instance: clusters plus the radio parameters it inherits.
+
+    ``fleet`` is optional because the UAV count is usually only known after
+    planning; a scenario file without ``[uavs]`` rows loads with fleet=None.
+    """
+
+    clusters: tuple[Cluster, ...]
+    fleet: UavFleet | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
         if len(self.clusters) < 1:
             raise ValueError("scenario needs at least one cluster")
         for c in self.clusters:
@@ -174,29 +167,11 @@ class DwellMatrix:
         )
 
 
-# scenario file scalar key (also the RadioParams field), in writing order
-# -> ClusterScenario attribute
-_SCALAR_KEYS = (
-    ("area_m", "area_side"),
-    ("carrier_hz", "carrier_hz"),
-    ("rb_bandwidth_hz", "rb_bandwidth_hz"),
-    ("noise_psd_w_per_hz", "noise_psd"),
-    ("pathloss_exponent", "pathloss_exp"),
-    ("ber_target", "ber_target"),
-    ("packet_bits", "packet_bits"),
-    ("p_tx", "p_tx"),
-    ("pmax_w", "pmax_w"),
-    ("total_rbs", "total_rbs"),
-    ("slot_seconds", "slot_seconds"),
-)
-_INT_KEYS = {"total_rbs"}
-
-
-def _scenario(radio: RadioParams, clusters: tuple[Cluster, ...],
-              fleet: UavFleet | None = None) -> ClusterScenario:
-    """The scenario of `clusters` (and `fleet`) under `radio`."""
-    return ClusterScenario(clusters=clusters, fleet=fleet,
-                           **{attr: getattr(radio, key) for key, attr in _SCALAR_KEYS})
+# RadioParams field of each scenario file scalar key, in writing order; three
+# keys differ from their field names
+_KEY_FIELDS = {{"area_side": "area_m", "noise_psd": "noise_psd_w_per_hz",
+                "pathloss_exp": "pathloss_exponent"}.get(f.name, f.name): f
+               for f in fields(RadioParams)}
 
 
 def generate_scenario(
@@ -217,13 +192,14 @@ def generate_scenario(
     if member_min < 1 or member_min > member_max:
         raise ValueError(f"invalid member range [{member_min}, {member_max}]")
     rng = np.random.default_rng(seed)
-    xy = rng.uniform(0.0, radio.area_m, size=(num_clusters, 2))
+    xy = rng.uniform(0.0, radio.area_side, size=(num_clusters, 2))
     members = rng.integers(member_min, member_max + 1, size=num_clusters)
     clusters = tuple(
         Cluster(id=g, position=(float(xy[g, 0]), float(xy[g, 1])), members=int(members[g]))
         for g in range(num_clusters)
     )
-    return _scenario(radio, clusters)
+    return ClusterScenario(clusters=clusters,
+                           **{f.name: getattr(radio, f.name) for f in fields(RadioParams)})
 
 
 def save_scenario(scenario: ClusterScenario) -> str:
@@ -232,9 +208,9 @@ def save_scenario(scenario: ClusterScenario) -> str:
     Floats use repr so that load(save(s)) reproduces s exactly.
     """
     lines = ["# uavm2m scenario"]
-    for key, attr in _SCALAR_KEYS:
-        value = getattr(scenario, attr)
-        lines.append(f"{key} = {int(value) if key in _INT_KEYS else repr(float(value))}")
+    for key, f in _KEY_FIELDS.items():
+        value = getattr(scenario, f.name)  # f.type is a string: annotations are lazy
+        lines.append(f"{key} = {int(value) if f.type == 'int' else repr(float(value))}")
     lines.append("[clusters]")
     for c in scenario.clusters:
         lines.append(f"{c.id},{c.position[0]!r},{c.position[1]!r},{c.members}")
@@ -284,13 +260,14 @@ def load_scenario(text: str) -> ClusterScenario:
                 raise ScenarioFormatError(f"line {lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in {k for k, _ in _SCALAR_KEYS}:
+            if key not in _KEY_FIELDS:
                 raise ScenarioFormatError(f"line {lineno}: unknown key {key!r}")
-            if key in scalars:
+            f = _KEY_FIELDS[key]
+            if f.name in scalars:
                 raise ScenarioFormatError(f"line {lineno}: duplicate key {key!r}")
-            parse = _parse_int if key in _INT_KEYS else _parse_number
-            scalars[key] = parse(value.strip(), lineno, key)
-            scalar_lines[key] = lineno
+            parse = _parse_int if f.type == "int" else _parse_number
+            scalars[f.name] = parse(value.strip(), lineno, key)
+            scalar_lines[f.name] = lineno
         elif section == "clusters":
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 4:
@@ -314,19 +291,18 @@ def load_scenario(text: str) -> ClusterScenario:
             _parse_int(parts[0], lineno, "uav id")  # checked only: UAVs keep row order
             altitudes.append(_parse_number(parts[1], lineno, "altitude_m"))
 
-    for key, _ in _SCALAR_KEYS:
-        if key not in scalars:
+    for key, f in _KEY_FIELDS.items():
+        if f.name not in scalars:
             raise ScenarioFormatError(f"missing key {key}")
     if not clusters:
         raise ScenarioFormatError("missing [clusters] section or no cluster rows")
 
     fleet = UavFleet(altitudes=tuple(altitudes)) if altitudes else None
     try:
-        return _scenario(RadioParams(**scalars), tuple(clusters), fleet)
+        return ClusterScenario(clusters=tuple(clusters), fleet=fleet, **scalars)
     except ValueError as exc:
         message = str(exc)
-        for key, attr in _SCALAR_KEYS:  # name the offending line when a
-            if message.startswith(attr):  # scalar fails its range check
-                message = f"line {scalar_lines[key]}: {message}"
-                break
+        lineno = scalar_lines.get(message.split(" ", 1)[0])
+        if lineno is not None:  # a scalar failed its range check: name its line
+            message = f"line {lineno}: {message}"
         raise ScenarioFormatError(message) from None

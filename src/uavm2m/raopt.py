@@ -198,7 +198,6 @@ class RaSolution:
     z: np.ndarray        # per-UAV RB counts (0 for UAVs that serve nothing)
     power: np.ndarray    # G x U transmit powers in W (0 where dwell is 0)
     objective: float     # dwell-weighted total power in W
-    integral: bool = False
 
 
 @dataclass
@@ -709,8 +708,7 @@ def _integral_solution(inst: RaInstance, z_serving: np.ndarray) -> RaSolution:
     else:
         z[0] = inst.total_rbs
     power = _powers_for(inst, z)
-    return RaSolution(z=z, power=power, objective=objective_value(inst, power),
-                      integral=True)
+    return RaSolution(z=z, power=power, objective=objective_value(inst, power))
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")

@@ -111,35 +111,32 @@ def find_dwell(
                          slack=served - rates)
 
 
-def min_uavs(arrival_rates: Sequence[float], mu: float = 1.0) -> int:
-    """Smallest UAV count whose feasibility set is nonempty: ceil of total
-    demand, and 1 for all-zero rates (a collector is still deployed)."""
-    rates = _check_rates(arrival_rates)
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    total = float(rates.sum()) / mu
-    u = max(1, math.ceil(total - _FEAS_EPS))
-    # the ceil already matches the greedy fill's feasibility rule; keep the
-    # search form so the two can never drift apart on float edge cases
-    while find_dwell(rates, u, mu) is None:
-        u += 1
-    return u
-
-
 def plan_min_fleet(
     arrival_rates: Sequence[float],
     mu: float = 1.0,
     slack_target: float = 0.0,
 ) -> StabilityPlan:
     """The dwell plan on the fewest UAVs that serve every CH with positive
-    rate at >= its arrival rate + slack_target."""
+    rate at >= its arrival rate + slack_target: the first plan found from
+    the ceil of total demand up, 1 UAV for all-zero rates (a collector is
+    still deployed)."""
     rates = _check_rates(arrival_rates)
+    if not mu > 0:
+        raise ValueError(f"mu must be > 0, got {mu}")
     if slack_target < 0:
         raise ValueError(f"slack_target must be >= 0, got {slack_target}")
-    # min_uavs sizes for exactly the demand find_dwell then fills, so the
-    # plan always exists
-    u_min = min_uavs(rates + np.where(rates > 0, slack_target, 0.0), mu)
-    return find_dwell(rates, u_min, mu, slack_target=slack_target)
+    total = float((rates + np.where(rates > 0, slack_target, 0.0)).sum()) / mu
+    u = max(1, math.ceil(total - _FEAS_EPS))
+    # the ceil already matches the greedy fill's feasibility rule; keep the
+    # search form so the two can never drift apart on float edge cases
+    while (plan := find_dwell(rates, u, mu, slack_target)) is None:
+        u += 1
+    return plan
+
+
+def min_uavs(arrival_rates: Sequence[float], mu: float = 1.0) -> int:
+    """Smallest UAV count whose feasibility set is nonempty."""
+    return plan_min_fleet(arrival_rates, mu).uav_count
 
 
 def verify_plan(plan: StabilityPlan, arrival_rates: Sequence[float], mu: float = 1.0) -> bool:

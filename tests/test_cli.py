@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from uavm2m import cli, queueing, scheduler
+from uavm2m import cli, harness, queueing, scheduler
 from uavm2m.model import load_scenario
 
 
@@ -169,6 +169,15 @@ def test_slack_target_sizes_the_fleet(tmp_path, capsys):
     ("sweep", "--horizon-slots", "0"),
     ("sweep", "--clusters", "0"),
     ("sweep", "--rbs", "2.5"),
+    ("gen", "--p-tx", "1.5"),
+    ("sweep", "--p-tx", "1.5"),
+    ("gen", "--area", "-5"),
+    ("gen", "--area", "inf"),
+    ("gen", "--packet-bits", "0"),
+    ("sweep", "--packet-bits", "nan"),
+    ("baseline", "--bs-height", "0"),
+    ("baseline", "--bs-exponent", "1"),
+    ("baseline", "--bs-exponent", "inf"),
 ])
 def test_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, command, flag, value):
     if command == "sweep":
@@ -182,6 +191,18 @@ def test_bad_numeric_flag_is_a_usage_error(tmp_path, capsys, command, flag, valu
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("variable", ["num_clusters", "total_rbs"])
+def test_fractional_count_sweep_value_is_a_usage_error(capsys, variable):
+    # a count is never truncated: the value column would name a run that never ran
+    with pytest.raises(ValueError, match=f"{variable} values must be whole numbers, got 2.5"):
+        harness.SweepSpec(variable=variable, values=(3.0, 2.5))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--variable", variable, "--values", "3,2.5", "--clusters", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --values: " in err and "whole numbers" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["gen", "sweep"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,36 @@ def test_round_trip_with_fleet():
     again = load_scenario(save_scenario(scenario))
     assert again == scenario
     assert again.fleet.count == 3
+
+
+_SAVED_HEAD = """\
+# uavm2m scenario
+area_m = 500.0
+carrier_hz = 2000000000.0
+rb_bandwidth_hz = 15000.0
+noise_psd_w_per_hz = 1e-20
+pathloss_exponent = 2.5
+ber_target = 1e-07
+packet_bits = 80.0
+p_tx = 0.25
+pmax_w = 1.0
+total_rbs = 6
+slot_seconds = 1.0
+[clusters]
+0,42.824583571812184,118.40525329804986,1
+1,400.63723260319847,291.0810180321839,1
+[uavs]
+"""
+
+
+@pytest.mark.parametrize("fleet,tail", [(None, ""), ((412.5, 598.0), "0,412.5\n1,598.0\n")])
+def test_saved_file_format_is_pinned(fleet, tail):
+    # key names, key order and number format, byte for byte
+    scenario = generate_scenario(3, 2, 1, 10, RadioParams(p_tx=0.25, total_rbs=6,
+                                                          packet_bits=80.0))
+    if fleet is not None:
+        scenario = scenario.with_fleet(UavFleet(altitudes=fleet))
+    assert save_scenario(scenario) == _SAVED_HEAD + tail
 
 
 _MINIMAL_LINES = (
@@ -150,6 +182,17 @@ def test_scenario_invariants():
             ClusterScenario(**{**base, key: bad})
     with pytest.raises(ValueError):
         ClusterScenario(**{**base, "clusters": (Cluster(0, (500.0, 5.0), 2),)})
+
+
+def test_radio_params_hold_the_range_checks():
+    # the scenario inherits its scalars, defaults and checks from RadioParams
+    names = [f.name for f in dataclasses.fields(ClusterScenario)]
+    assert names == [f.name for f in dataclasses.fields(RadioParams)] + ["clusters", "fleet"]
+    for field, bad in [("p_tx", -0.1), ("packet_bits", 0.0), ("total_rbs", 0),
+                       ("pmax_w", 0.0), ("pathloss_exp", 1.9), ("ber_target", 0.0),
+                       ("area_side", 0.0), ("slot_seconds", 0.0)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            RadioParams(**{field: bad})
 
 
 def test_cluster_and_fleet_invariants():

@@ -87,6 +87,21 @@ def test_min_uavs_respects_mu():
     assert scheduler.min_uavs([2.0, 2.0], mu=4.0) == 1
 
 
+def test_plan_min_fleet_searches_once(monkeypatch):
+    # the fleet size comes from one search whose first plan is the result
+    calls = []
+    find_dwell = scheduler.find_dwell
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find_dwell(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "find_dwell", counted)
+    plan = scheduler.plan_min_fleet([0.7, 0.8], slack_target=0.05)
+    assert plan.uav_count == 2 and len(calls) == 1
+    assert scheduler.min_uavs([0.7, 0.8]) == 2 and len(calls) == 2
+
+
 def test_verify_plan_accepts_constructed_plans(rng):
     for _ in range(50):
         rates = rng.uniform(0, 1.2, size=rng.integers(1, 12))
