@@ -19,8 +19,8 @@ _DAMPING_INIT = 1e-3
 _DAMPING_UP = 10.0  # on a rejected step
 _DAMPING_DOWN = 0.1  # on an accepted step
 _MAX_ITERS = 500
-_RESIDUAL_TOL = 1e-10  # converged once ||r|| is this small ...
-_STEP_TOL = 1e-12  # ... or an accepted step this short
+_RESIDUAL_TOL = 1e-10  # default stop test: converged once ||r|| is this small ...
+_STEP_TOL = 1e-12  # ... or, with any stop test, an accepted step this short
 # retries within one outer iteration before giving up on finding a
 # descent step (each retry raises the damping by _DAMPING_UP)
 _MAX_INNER = 60
@@ -52,12 +52,21 @@ def numeric_jacobian(residual_fn: Callable[[np.ndarray], np.ndarray],
     return jac
 
 
+def _small_residual(x: np.ndarray, r: np.ndarray) -> bool:
+    return float(np.sqrt(r @ r)) <= _RESIDUAL_TOL
+
+
 def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
           x0,
           *,
-          jacobian: Callable[[np.ndarray], np.ndarray]) -> LmaResult:
+          jacobian: Callable[[np.ndarray], np.ndarray],
+          done: Callable[[np.ndarray, np.ndarray], bool] = _small_residual) -> LmaResult:
     """Minimize ||residual_fn(x)||^2 from x0, with `jacobian(x)` the
     Jacobian of the residual; returns the best point found.
+
+    `done(x, r)` is the stop test, asked at x0 and at every accepted point
+    with its residual r; by default ||r|| <= 1e-10. An accepted step shorter
+    than 1e-12 also stops the solve.
 
     Deterministic: identical inputs produce identical iterates. The residual
     must be finite at x0; non-finite residuals at trial points just reject
@@ -74,7 +83,7 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
     norm = float(np.sqrt(cost))
     accepted = [cost]
     best_x, best_norm = x.copy(), norm
-    converged = norm <= _RESIDUAL_TOL
+    converged = bool(done(x, r))
     iters = 0
 
     while not converged and iters < _MAX_ITERS:
@@ -112,7 +121,7 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
         accepted.append(cost)
         if norm < best_norm:
             best_x, best_norm = x.copy(), norm
-        if norm <= _RESIDUAL_TOL or float(np.linalg.norm(step)) <= _STEP_TOL:
+        if done(x, r) or float(np.linalg.norm(step)) <= _STEP_TOL:
             converged = True
 
     return LmaResult(solution=best_x, residual_norm=best_norm, iterations=iters,

@@ -73,8 +73,8 @@ class RadioParams:
     def __post_init__(self):
         if not (0 <= self.p_tx <= 1):
             raise ValueError(f"p_tx must be in [0, 1], got {self.p_tx}")
-        if not self.packet_bits > 0:
-            raise ValueError(f"packet_bits must be > 0, got {self.packet_bits}")
+        if not 0 < self.packet_bits < np.inf:
+            raise ValueError(f"packet_bits must be finite and > 0, got {self.packet_bits}")
         if self.total_rbs < 1:
             raise ValueError(f"total_rbs must be >= 1, got {self.total_rbs}")
         if not self.pmax_w > 0:
@@ -83,10 +83,13 @@ class RadioParams:
             raise ValueError(f"pathloss_exp must be >= 2, got {self.pathloss_exp}")
         if not (0 < self.ber_target < 1):
             raise ValueError(f"ber_target must be in (0, 1), got {self.ber_target}")
-        if not self.area_side > 0:
-            raise ValueError(f"area_side must be > 0, got {self.area_side}")
-        if not self.slot_seconds > 0:
-            raise ValueError(f"slot_seconds must be > 0, got {self.slot_seconds}")
+        if not 0 < self.area_side < np.inf:
+            raise ValueError(f"area_side must be finite and > 0, got {self.area_side}")
+        if not 0 < self.slot_seconds < np.inf:
+            raise ValueError(f"slot_seconds must be finite and > 0, got {self.slot_seconds}")
+        for name in ("carrier_hz", "rb_bandwidth_hz", "noise_psd"):
+            if not 0 < (value := getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -13,9 +13,12 @@ Three independent routes are provided and cross-checked against each other:
   convex program (power-delivery constraints tight, one power cap per link,
   multipliers nonnegative) and solves it as a nonlinear root-finding problem
   with Levenberg-Marquardt, once from each of two starts that keep the
-  caps; the first, a warm start with every multiplier at the size of the
-  rows it enters, converges in ~12 iterations on 5-10 cluster plans, and the
-  second, an even share of the spare blocks, catches binding caps.
+  caps, stopping where the point would pass its final checks
+  (`KktSystem.accepts`); the first, a warm start with the multipliers of
+  slack constraints below tolerance and the others at the size of the rows
+  they enter, converges in ~3 iterations on 5-10 cluster plans and at
+  paper scale, and the second, an even share of the spare blocks, catches
+  binding caps.
 * `solve_reduced` - eliminates powers through the tight delivery constraint
   and minimizes the remaining separable convex function of z by bisecting on
   the shared multiplier that equalizes per-UAV marginal costs, solving for
@@ -39,6 +42,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +176,16 @@ class RaInstance:
     @property
     def num_chs(self) -> int:
         return self.dwell.num_clusters
+
+    @cached_property
+    def cap_floors(self) -> np.ndarray:
+        """Per serving UAV, the smallest z keeping all its links within pmax
+        (`_cap_floors`, read-only), bisected once per instance for both
+        routes; every read of an infeasible instance raises
+        InfeasibleInstanceError."""
+        floors = _cap_floors(self)
+        floors.setflags(write=False)
+        return floors
 
     def active_pairs(self) -> list[tuple[int, int]]:
         """(ch, uav) links with positive dwell, ch-major order."""
@@ -337,9 +351,9 @@ def _cap_floors(inst: RaInstance) -> np.ndarray:
     """Per serving UAV, the smallest z keeping all its links within pmax:
     bisection on the power of every link that breaks the cap at
     Z_MIN_ACTIVE, all at once, down to adjacent floats. Both routes decide
-    feasibility here: the instance is feasible iff every link meets the cap
-    at z = Z and the floors fit in the budget; otherwise
-    InfeasibleInstanceError."""
+    feasibility here, through `RaInstance.cap_floors`: the instance is
+    feasible iff every link meets the cap at z = Z and the floors fit in
+    the budget; otherwise InfeasibleInstanceError."""
     links = inst.links
     big_z = float(inst.total_rbs)
     n_links = len(links.ch)
@@ -354,11 +368,14 @@ def _cap_floors(inst: RaInstance) -> np.ndarray:
     lo, hi = np.full(len(capped), Z_MIN_ACTIVE), np.full(len(capped), big_z)
     c, coeff = links.c[capped], links.coeff[capped]
     # power(lo) > pmax >= power(hi) throughout; once every midpoint rounds to
-    # an end, no bracket can shrink further
+    # an end, no bracket can shrink further and a level leaves lo and hi as
+    # they are, so that test is made once per 8 levels
     while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
-        too_hot = _required_power(c, coeff, mid) > inst.pmax
-        lo = np.where(too_hot, mid, lo)
-        hi = np.where(too_hot, hi, mid)
+        for _ in range(8):
+            too_hot = _required_power(c, coeff, mid) > inst.pmax
+            np.copyto(lo, mid, where=too_hot)
+            np.copyto(hi, mid, where=~too_hot)
+            mid = 0.5 * (lo + hi)
     floors = np.full(len(links.uavs), Z_MIN_ACTIVE)
     np.maximum.at(floors, links.seg[capped], hi)
     if floors.sum() > big_z + 1e-9:
@@ -477,6 +494,22 @@ class KktSystem:
         ])
         return res if np.all(np.isfinite(res)) else np.full(self.size, np.inf)
 
+    def accepts(self, x: np.ndarray, r: np.ndarray) -> bool:
+        """LM's stop test: the point passes `solve_kkt`'s checks with a
+        tenfold margin, ||r * row_scale|| (the norm of `kkt_residuals`) within
+        1e-9 and primal feasibility within 1e-10. A fixed bound on ||r||
+        stops either before the budget row is feasible to 1e-9 blocks or
+        below the residual's rounding floor, where LM only rejects steps."""
+        if float(np.linalg.norm(r * self.row_scale)) > 1e-9:
+            return False
+        zt, pt = self._split(x)[:2]
+        z, power = zt * self.big_z, pt * self.p_scale
+        worst = max(float(np.max(self._link_terms(zt)[0] - power)),
+                    float(power.max()) - self.inst.pmax, -float(power.min()),
+                    float(z.max()) - self.big_z, -float(z.min()),
+                    float(z.sum()) - self.big_z)
+        return worst <= 1e-10
+
     @np.errstate(over="ignore", invalid="ignore")
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
@@ -535,21 +568,21 @@ class KktSystem:
 
 
 def _initial_point(inst: RaInstance, z_serving: np.ndarray, lam_budget: float,
-                   lam_rb_cap: float) -> KktPoint:
+                   lam_rb_cap: float, lam_pmax: float) -> KktPoint:
     """Tight delivery powers at z_serving blocks per serving UAV, delivery
-    multipliers at their expected sizes, link cap multipliers near 0, and
-    the budget and per-UAV RB cap multipliers as given."""
+    multipliers at their expected sizes, and the budget, per-UAV RB cap and
+    link power cap multipliers as given."""
     links = inst.links
     z = np.zeros(inst.num_uavs)
     z[links.uavs] = z_serving
     lam_rb_caps = np.zeros(inst.num_uavs)
     lam_rb_caps[links.uavs] = lam_rb_cap
-    lam_pmax = np.zeros((inst.num_chs, inst.num_uavs))
-    lam_pmax[links.ch, links.uav] = 1e-6
+    lam_pmaxs = np.zeros((inst.num_chs, inst.num_uavs))
+    lam_pmaxs[links.ch, links.uav] = lam_pmax
     lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
     lam_rate[links.ch, links.uav] = _rate_scale(links)
     return KktPoint(z=z, power=_powers_for(inst, z), lam_rb_cap=lam_rb_caps,
-                    lam_pmax=lam_pmax, lam_budget=lam_budget, lam_rate=lam_rate)
+                    lam_pmax=lam_pmaxs, lam_budget=lam_budget, lam_rate=lam_rate)
 
 
 def _kkt_starts(inst: RaInstance) -> Iterator[KktPoint]:
@@ -559,15 +592,18 @@ def _kkt_starts(inst: RaInstance) -> Iterator[KktPoint]:
     share of a small-exponent warm start, then an even share.
 
     The warm start sets the budget multiplier at sigma, the median size of
-    the RB-stationarity rows there (`_row_scales`), and the RB cap
-    multipliers at 1e-6 * sigma, so every entry of its scaled residual is
-    O(1); absolute values of 1e-6 against sigma ~ 1e-9 put the cap rows
-    near 4e2 and cost LM ~10 iterations. The even start keeps absolute 1e-6
-    multipliers: it is the fallback for the binding-cap instances the warm
-    start misses. Smaller even shares never win on the benchmark pool or
-    on its binding-cap variants."""
+    the RB-stationarity rows there (`_row_scales`), and the multipliers of
+    the constraints that are slack at a typical optimum near 1e-16: the
+    RB caps at 1e-16 * sigma and the link power caps at an absolute 1e-16.
+    Every entry of its scaled residual is then O(1), and the complementarity
+    rows s**2 * g of the slack constraints start below tolerance. At 1e-6
+    those rows gate convergence: their double root at s = 0 lets LM only
+    halve s per step, ~12 iterations instead of ~3. The even start keeps
+    absolute 1e-6 multipliers: it is the fallback for the binding-cap
+    instances the warm start misses. Smaller even shares never win on the
+    benchmark pool or on its binding-cap variants."""
     links = inst.links
-    floors = _cap_floors(inst)
+    floors = inst.cap_floors
     spare = max(float(inst.total_rbs) - floors.sum(), 0.0)
     # small-exponent approximation: per-UAV cost ~ const + K/z, so equalized
     # marginal costs put z proportional to sqrt(K); a strong warm start
@@ -576,15 +612,16 @@ def _kkt_starts(inst: RaInstance) -> Iterator[KktPoint]:
         links.per_uav(_rate_scale(links) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300)
     warm = floors + spare * np.sqrt(k_load) / np.sum(np.sqrt(k_load))
     sigma = _row_scales(inst, warm)[1]
-    yield _initial_point(inst, warm, sigma, 1e-6 * sigma)
-    yield _initial_point(inst, floors + spare / len(floors), 1e-6, 1e-6)
+    yield _initial_point(inst, warm, sigma, 1e-16 * sigma, 1e-16)
+    yield _initial_point(inst, floors + spare / len(floors), 1e-6, 1e-6, 1e-6)
 
 
 def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     """Solve the optimality system by Levenberg-Marquardt root finding.
 
     Runs LM once from each of `_kkt_starts`, on the rescaled unknowns of
-    `KktSystem` with its analytic Jacobian, and returns the first point with
+    `KktSystem` with its analytic Jacobian and its stop test `accepts`, and
+    returns the first point with
     ||kkt_residuals|| <= 1e-8 and feasibility within 1e-9; else a
     SolverConvergenceError reports the best residual norm reached. Power
     caps that no allocation meets raise InfeasibleInstanceError, decided by
@@ -595,7 +632,8 @@ def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     best_norm = math.inf
     for start in _kkt_starts(inst):
         system = KktSystem(inst, start)
-        result = lma.solve(system.residual, system.encode(start), jacobian=system.jacobian)
+        result = lma.solve(system.residual, system.encode(start),
+                           jacobian=system.jacobian, done=system.accepts)
         point = system.decode(result.solution)
         point.accepted_costs = result.accepted_costs
         try:
@@ -663,7 +701,7 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
     if not len(links.ch):
         return _trivial_solution(inst)[0]
     big_z = float(inst.total_rbs)
-    floors = _cap_floors(inst)
+    floors = inst.cap_floors
     z_full = np.full_like(floors, big_z)
     mu_full = -links.slopes(z_full)[0]
     mu_floor = -links.slopes(floors)[0]

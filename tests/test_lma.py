@@ -31,13 +31,18 @@ def test_linear_residual():
     assert abs(res.solution[0]) < 1e-10
 
 
-def test_accepted_costs_strictly_decrease():
+def _cubic_system():
     def residual(x):
         return np.array([x[0] ** 2 - 4.0, np.sin(x[1]) - 0.3, x[0] * x[1] - 1.0])
 
     def jacobian(x):
         return np.array([[2.0 * x[0], 0.0], [0.0, np.cos(x[1])], [x[1], x[0]]])
 
+    return residual, jacobian
+
+
+def test_accepted_costs_strictly_decrease():
+    residual, jacobian = _cubic_system()
     res = lma.solve(residual, [4.0, 2.0], jacobian=jacobian)
     assert len(res.accepted_costs) > 3
     assert all(a > b for a, b in zip(res.accepted_costs, res.accepted_costs[1:]))
@@ -129,3 +134,48 @@ def test_iteration_budget_respected(monkeypatch):
     res = lma.solve(_rosenbrock, [-1.2, 1.0], jacobian=_rosenbrock_jacobian)
     assert res.iterations == 3
     assert not res.converged
+
+
+def test_done_stops_at_the_first_accepted_point_it_holds_at():
+    residual, jacobian = _cubic_system()
+    full = lma.solve(residual, [4.0, 2.0], jacobian=jacobian)
+    asked = []
+
+    def done(x, r):
+        assert np.array_equal(r, residual(x))
+        asked.append(x.copy())
+        return float(r @ r) <= 1e-2 * full.accepted_costs[0]
+
+    res = lma.solve(residual, [4.0, 2.0], jacobian=jacobian, done=done)
+    # asked at x0 and once per accepted step; the iterates match the default
+    # run up to the stop
+    first = next(i for i, c in enumerate(full.accepted_costs) if c <= 1e-2 * full.accepted_costs[0])
+    assert 0 < res.iterations == first == len(asked) - 1 < full.iterations
+    assert res.converged
+    assert np.array_equal(res.solution, asked[-1])
+    assert res.accepted_costs == full.accepted_costs[:first + 1]
+
+
+def test_done_at_the_start_returns_without_iterating():
+    calls = {"jacobian": 0}
+
+    def jacobian(x):
+        calls["jacobian"] += 1
+        return np.array([[2.0 * x[0]]])
+
+    res = lma.solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0], jacobian=jacobian,
+                    done=lambda x, r: True)
+    assert res.iterations == 0 and res.converged
+    assert res.solution == pytest.approx([3.0]) and calls["jacobian"] == 0
+    assert res.accepted_costs == [25.0]
+
+
+def test_accepted_costs_strictly_decrease_under_a_caller_stop_test():
+    # a least-squares problem with no root: stop near its smallest cost
+    residual, jacobian = _cubic_system()
+    floor = lma.solve(residual, [4.0, 2.0], jacobian=jacobian).accepted_costs[-1]
+    res = lma.solve(residual, [4.0, 2.0], jacobian=jacobian,
+                    done=lambda x, r: float(r @ r) <= floor * (1 + 1e-6))
+    assert res.converged and res.accepted_costs[-1] <= floor * (1 + 1e-6)
+    assert len(res.accepted_costs) > 3
+    assert all(a > b for a, b in zip(res.accepted_costs, res.accepted_costs[1:]))

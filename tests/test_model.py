@@ -190,9 +190,25 @@ def test_radio_params_hold_the_range_checks():
     assert names == [f.name for f in dataclasses.fields(RadioParams)] + ["clusters", "fleet"]
     for field, bad in [("p_tx", -0.1), ("packet_bits", 0.0), ("total_rbs", 0),
                        ("pmax_w", 0.0), ("pathloss_exp", 1.9), ("ber_target", 0.0),
-                       ("area_side", 0.0), ("slot_seconds", 0.0)]:
+                       ("area_side", 0.0), ("slot_seconds", 0.0),
+                       ("packet_bits", np.inf), ("area_side", np.inf), ("slot_seconds", np.inf),
+                       ("carrier_hz", 0.0), ("rb_bandwidth_hz", -15e3), ("noise_psd", np.nan),
+                       ("carrier_hz", np.inf)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             RadioParams(**{field: bad})
+
+
+@pytest.mark.parametrize("lineno,row,field", [
+    (2, "carrier_hz = 0.0", "carrier_hz"),
+    (3, "rb_bandwidth_hz = -15000.0", "rb_bandwidth_hz"),
+    (7, "packet_bits = inf", "packet_bits"),
+])
+def test_unusable_radio_value_names_its_line(lineno, row, field):
+    # each used to load and fail later in the pipeline with a traceback
+    lines = list(_MINIMAL_LINES)
+    lines[lineno - 1] = row
+    with pytest.raises(ScenarioFormatError, match=f"^line {lineno}: {field} must be finite and > 0"):
+        load_scenario("\n".join(lines))
 
 
 def test_cluster_and_fleet_invariants():

@@ -648,12 +648,13 @@ def test_rb_cap_multiplier_enters_rb_stationarity_with_a_plus_sign():
 
 @pytest.mark.parametrize("seed,clusters,rbs", [
     (25605609, 5, 24), (455845046, 5, 24), (234752347, 5, 12),
-    (903180690, 10, 6), (907713271, 9, 24), (1431454342, 9, 24),
+    (903180690, 10, 6), (907713271, 9, 24), (1431454342, 9, 24), (0, 80, 24),
 ])
 def test_kkt_converges_from_the_warm_start(monkeypatch, seed, clusters, rbs):
-    # crosscheck-pool pipelines: the warm start wins in a few LM iterations
-    # (~22 when its cap multipliers started at an absolute 1e-6; on the last
-    # instance it ran out of iterations and a later start won)
+    # crosscheck-pool pipelines and one at paper scale: the warm start wins
+    # in a few LM iterations, because the complementarity rows s**2 * g of
+    # the slack constraints start below tolerance (at their double root
+    # s = 0 LM only halves s per step) and LM stops on `KktSystem.accepts`
     scenario = generate_scenario(seed, clusters, 1, 10, RadioParams(total_rbs=rbs))
     inst = harness.run_pipeline(scenario, seed=seed).instance
     iterations = []
@@ -666,5 +667,35 @@ def test_kkt_converges_from_the_warm_start(monkeypatch, seed, clusters, rbs):
 
     monkeypatch.setattr(raopt.lma, "solve", counted)
     sol, _ = raopt.solve_kkt(inst)
-    assert len(iterations) == 1 and iterations[0] <= 16
+    assert len(iterations) == 1 and iterations[0] <= 5
     assert sol.objective == pytest.approx(raopt.solve_reduced(inst).objective, rel=1e-6)
+
+
+def test_both_routes_share_one_cap_floor_bisection(monkeypatch):
+    calls = []
+    cap_floors = raopt._cap_floors
+
+    def counted(inst):
+        calls.append(inst)
+        return cap_floors(inst)
+
+    monkeypatch.setattr(raopt, "_cap_floors", counted)
+    scenario = generate_scenario(903180690, 10, 1, 10, RadioParams(total_rbs=6))
+    result = harness.run_pipeline(scenario, seed=903180690, solver="both")
+    assert len(calls) == 1 and calls[0] is result.instance
+    assert not result.instance.cap_floors.flags.writeable
+
+
+def test_infeasible_floors_raise_from_both_routes_every_time():
+    # every link meets its cap at Z, the hottest one only just, so its UAV's
+    # floor takes the whole budget and the floors overflow it. The floors of
+    # an infeasible instance are not cached: each route raises in turn. And
+    # dataclasses.replace does not carry the slack instance's floors over
+    slack = split_ch_instance(6)
+    assert slack.cap_floors.sum() < 1.0
+    links = slack.links
+    at_z = links.power(np.full(len(links.ch), float(slack.total_rbs)))
+    inst = dataclasses.replace(slack, pmax=float(at_z.max()) * (1 + 1e-9))
+    for solve in (raopt.solve_reduced, raopt.solve_kkt, raopt.solve_reduced):
+        with pytest.raises(raopt.InfeasibleInstanceError, match="more resource blocks"):
+            solve(inst)
