@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 
+_LN2 = math.log(2.0)
+
 
 class InfeasibleLinkError(ValueError):
     """A link cannot carry the packet at any finite power (e.g. zero dwell)."""
@@ -26,8 +28,8 @@ def path_gain(distance_m: float, wavelength_m: float, nu: float) -> float:
         raise ValueError(f"distance must be > 0, got {distance_m}")
     if not wavelength_m > 0:
         raise ValueError(f"wavelength must be > 0, got {wavelength_m}")
-    if nu < 2:
-        raise ValueError(f"pathloss exponent must be >= 2, got {nu}")
+    if not 2 <= nu < math.inf:
+        raise ValueError(f"pathloss exponent must be finite and >= 2, got {nu}")
     return (4.0 * math.pi * distance_m / wavelength_m) ** -nu
 
 
@@ -46,6 +48,9 @@ def required_power(
     with power split equally across the blocks.
 
         P = bz * n0 * (2 ** (bits / (z * bz * dwell * slot_s)) - 1) * z / (beta * gain)
+
+    2**t - 1 is evaluated as expm1(t ln2), which keeps full precision at
+    small t where the difference would cancel.
     """
     if dwell == 0:
         raise InfeasibleLinkError("zero dwell time: packet cannot be sent at finite power")
@@ -56,7 +61,7 @@ def required_power(
         if not v > 0:
             raise ValueError(f"{name} must be > 0, got {v}")
     exponent = packet_bits / (z * bz * dwell * slot_s)
-    return bz * n0 * (2.0 ** exponent - 1.0) * z / (beta * gain)
+    return bz * n0 * math.expm1(exponent * _LN2) * z / (beta * gain)
 
 
 def achievable_bits(

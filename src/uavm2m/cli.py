@@ -17,7 +17,8 @@ from collections.abc import Iterator
 from typing import IO
 
 from . import harness, queueing, raopt, scheduler
-from .model import RadioParams, generate_scenario, load_scenario, save_scenario
+from .model import (RadioParams, ScenarioFormatError, generate_scenario, load_scenario,
+                    save_scenario)
 
 
 def _parse_values(text: str) -> tuple[float, ...]:
@@ -76,8 +77,14 @@ def _open_out(out_path: str | None) -> Iterator[IO[str]]:
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    """The scenario at `--scenario`; a file that cannot be read or parsed is
+    a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_scenario(fh.read())
+    except (OSError, UnicodeDecodeError, ScenarioFormatError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise argparse.ArgumentTypeError(f"argument --scenario: {path}: {reason}") from None
 
 
 # gen/sweep scenario flag (its argparse dest) -> the RadioParams field it sets

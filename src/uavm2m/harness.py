@@ -262,10 +262,10 @@ class BaselineSpec:
     placement: str = "grid"  # or "at_cluster_heads"
 
     def __post_init__(self):
-        if not self.bs_height_m > 0:
-            raise ValueError("bs_height_m must be > 0")
-        if self.pathloss_exp_terrestrial < 2:
-            raise ValueError("pathloss_exp_terrestrial must be >= 2")
+        if not 0 < self.bs_height_m < math.inf:
+            raise ValueError("bs_height_m must be finite and > 0")
+        if not 2 <= self.pathloss_exp_terrestrial < math.inf:
+            raise ValueError("pathloss_exp_terrestrial must be finite and >= 2")
         if self.placement not in ("grid", "at_cluster_heads"):
             raise ValueError(f"unknown placement {self.placement!r}")
 

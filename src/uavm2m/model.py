@@ -77,10 +77,10 @@ class RadioParams:
             raise ValueError(f"packet_bits must be finite and > 0, got {self.packet_bits}")
         if self.total_rbs < 1:
             raise ValueError(f"total_rbs must be >= 1, got {self.total_rbs}")
-        if not self.pmax_w > 0:
-            raise ValueError(f"pmax_w must be > 0, got {self.pmax_w}")
-        if self.pathloss_exp < 2:
-            raise ValueError(f"pathloss_exp must be >= 2, got {self.pathloss_exp}")
+        if not 0 < self.pmax_w < np.inf:
+            raise ValueError(f"pmax_w must be finite and > 0, got {self.pmax_w}")
+        if not 2 <= self.pathloss_exp < np.inf:
+            raise ValueError(f"pathloss_exp must be finite and >= 2, got {self.pathloss_exp}")
         if not (0 < self.ber_target < 1):
             raise ValueError(f"ber_target must be in (0, 1), got {self.ber_target}")
         if not 0 < self.area_side < np.inf:

@@ -29,11 +29,14 @@ Three independent routes are provided and cross-checked against each other:
 * `brute_force` - exact enumeration over integer allocations (small sizes).
 
 All routes read `RaInstance.links`, one array view of the served links
-(`LinkView`). The KKT route builds its rescaled residual and analytic
-Jacobian on it (`KktSystem`) and checks every point it returns against the
-scalar `kkt_residuals`; the two routes stay independent because they solve
-different systems (the KKT conditions against an equal-marginal search).
-Both decide feasibility the same way, from the per-UAV cap floors.
+(`LinkView`), whose `power` and `link_slopes` are the one per-link kernel
+(expm1 form, no cancellation at small c/z). The KKT route builds its
+rescaled residual and analytic Jacobian on it (`KktSystem`) and checks
+every point it returns against the scalar `kkt_residuals`, whose
+`rb_term_derivative` and `channel.required_power` take the same forms on
+their own; the two routes stay independent because they solve different
+systems (the KKT conditions against an equal-marginal search). Both
+decide feasibility the same way, from the per-UAV cap floors.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from . import channel, lma
 from .model import DwellMatrix
 
 # lower bound on RB counts of serving UAVs in the continuous problem; keeps
-# the 2**(c/z) delivery term finite
+# the delivery term finite
 Z_MIN_ACTIVE = 1e-3
 
 _LN2 = math.log(2.0)
@@ -73,11 +76,6 @@ class SolverConvergenceError(RuntimeError):
         self.residual_norm = residual_norm
 
 
-def _required_power(c: np.ndarray, coeff: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """coeff * (2**(c/z) - 1) * z: the power a link needs at z blocks."""
-    return coeff * (2.0 ** (c / z) - 1.0) * z
-
-
 @dataclass(frozen=True)
 class LinkView:
     """The served links of an instance as read-only parallel arrays.
@@ -85,8 +83,10 @@ class LinkView:
     Link k joins CH `ch[k]` to UAV `uav[k]` (ch-major order); `seg[k]` is
     the position of that UAV in `uavs`, the serving UAVs in ascending order.
     At z resource blocks the link needs coeff[k] * (2**(c[k]/z) - 1) * z
-    watts, which enters the objective with weight `weight[k]`, its dwell.
-    The per-UAV kernels take one RB count per serving UAV, in `uavs` order.
+    watts, which enters the objective with weight `weight[k]`, its dwell;
+    `power` and `link_slopes` are that formula and its z-derivatives in
+    expm1 form, free of cancellation at small c/z. The per-UAV kernels
+    take one RB count per serving UAV, in `uavs` order.
     """
 
     ch: np.ndarray
@@ -114,8 +114,18 @@ class LinkView:
         return view
 
     def power(self, z_link: np.ndarray) -> np.ndarray:
-        """Required power of each link at its RB count z_link[..., k]."""
-        return _required_power(self.c, self.coeff, z_link)
+        """Required power of each link at its RB count z_link[..., k]:
+        coeff * expm1(a) * z with a = ln2 * c / z."""
+        return self.coeff * np.expm1(self.c / z_link * _LN2) * z_link
+
+    def link_slopes(self, z_link: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per link at its RB count z_link[k]: d power / dz =
+        coeff * (expm1(a) * (1 - a) - a), negative, and d2 power / dz2 =
+        coeff * (1 + expm1(a)) * a**2 / z, positive (a = ln2 * c / z)."""
+        a = self.c / z_link * _LN2
+        em1 = np.expm1(a)
+        return (self.coeff * (em1 * (1.0 - a) - a),
+                self.coeff * (1.0 + em1) * a**2 / z_link)
 
     def cost(self, z: np.ndarray) -> np.ndarray:
         """Per serving UAV: dwell-weighted power of its links."""
@@ -124,12 +134,8 @@ class LinkView:
     def slopes(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per serving UAV: d cost / dz, negative and increasing in z, and
         d2 cost / dz2, positive; one pass over the links for both."""
-        z_link = z[self.seg]
-        t = self.c / z_link
-        e = 2.0**t
-        w_coeff = self.weight * self.coeff
-        return (self.per_uav(w_coeff * (e * (1.0 - t * _LN2) - 1.0)),
-                self.per_uav(w_coeff * e * (t * _LN2) ** 2 / z_link))
+        slope, bend = self.link_slopes(z[self.seg])
+        return self.per_uav(self.weight * slope), self.per_uav(self.weight * bend)
 
     def per_uav(self, per_link: np.ndarray) -> np.ndarray:
         """Sum of a per-link quantity over the links of each serving UAV."""
@@ -194,11 +200,6 @@ class RaInstance:
     def active_uavs(self) -> list[int]:
         return self.links.uavs.tolist()
 
-    def pair_constants(self, g: int, u: int) -> tuple[float, float]:
-        """(c, coeff) with required power = coeff * (2**(c/z) - 1) * z."""
-        k = np.flatnonzero((self.links.ch == g) & (self.links.uav == u))[0]
-        return float(self.links.c[k]), float(self.links.coeff[k])
-
     def pair_power(self, g: int, u: int, z: float) -> float:
         """Minimum power for link (g, u) at z resource blocks."""
         return channel.required_power(
@@ -236,12 +237,14 @@ class KktPoint:
 
 def rb_term_derivative(c: float, z: float) -> float:
     """d/dz of (2**(c/z) - 1) * z, the RB-count sensitivity of required power
-    up to the per-link coefficient. Strictly negative for c > 0."""
-    t = c / z
-    if t > 1024.0:  # 2**t overflows; the factor (1 - t ln2) is negative there
+    up to the per-link coefficient: expm1(a) * (1 - a) - a with a = ln2 * c / z.
+    Strictly negative for c > 0; -inf once the value leaves the float range."""
+    a = c / z * _LN2
+    try:
+        em1 = math.expm1(a)
+    except OverflowError:  # the factor (1 - a) is negative there
         return -math.inf
-    e = 2.0**t
-    return e * (1.0 - t * _LN2) - 1.0
+    return em1 * (1.0 - a) - a
 
 
 def objective_value(inst: RaInstance, power: np.ndarray) -> float:
@@ -292,23 +295,16 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
 
     big_z = float(inst.total_rbs)
     d = inst.dwell.entries
-    res: list[float] = []
-    for u in uavs:
-        res.append(point.lam_rb_cap[u] * (z[u] - big_z))
-    for g, u in pairs:
-        res.append(point.lam_pmax[g, u] * (power[g, u] - inst.pmax))
+    res = [point.lam_rb_cap[u] * (z[u] - big_z) for u in uavs]
+    res += [point.lam_pmax[g, u] * (power[g, u] - inst.pmax) for g, u in pairs]
     res.append(point.lam_budget * (sum(z[u] for u in uavs) - big_z))
-    for g, u in pairs:
-        res.append(d[u, g] + point.lam_pmax[g, u] - point.lam_rate[g, u])
-    for u in uavs:
-        acc = -point.lam_rb_cap[u] + point.lam_budget
-        for g, uu in pairs:
-            if uu == u:
-                c, coeff = inst.pair_constants(g, u)
-                acc += point.lam_rate[g, u] * coeff * rb_term_derivative(c, float(z[u]))
-        res.append(acc)
-    for g, u in pairs:
-        res.append(point.lam_rate[g, u] * (inst.pair_power(g, u, float(z[u])) - power[g, u]))
+    res += [d[u, g] + point.lam_pmax[g, u] - point.lam_rate[g, u] for g, u in pairs]
+    stat_z = {u: -point.lam_rb_cap[u] + point.lam_budget for u in uavs}
+    for (g, u), c, coeff in zip(pairs, inst.links.c.tolist(), inst.links.coeff.tolist()):
+        stat_z[u] += point.lam_rate[g, u] * coeff * rb_term_derivative(c, float(z[u]))
+    res += stat_z.values()
+    res += [point.lam_rate[g, u] * (inst.pair_power(g, u, float(z[u])) - power[g, u])
+            for g, u in pairs]
     return np.array(res)
 
 
@@ -349,35 +345,33 @@ def _trivial_solution(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
 @np.errstate(over="ignore")
 def _cap_floors(inst: RaInstance) -> np.ndarray:
     """Per serving UAV, the smallest z keeping all its links within pmax:
-    bisection on the power of every link that breaks the cap at
-    Z_MIN_ACTIVE, all at once, down to adjacent floats. Both routes decide
-    feasibility here, through `RaInstance.cap_floors`: the instance is
-    feasible iff every link meets the cap at z = Z and the floors fit in
-    the budget; otherwise InfeasibleInstanceError."""
+    bisection on the power of every link at once, down to adjacent floats.
+    Both routes decide feasibility here, through `RaInstance.cap_floors`:
+    the instance is feasible iff every link meets the cap at z = Z and the
+    floors fit in the budget; otherwise InfeasibleInstanceError."""
     links = inst.links
     big_z = float(inst.total_rbs)
-    n_links = len(links.ch)
-    too_hot = links.power(np.full(n_links, big_z)) > inst.pmax
+    too_hot = links.power(big_z) > inst.pmax
     if np.any(too_hot):
         k = int(np.argmax(too_hot))
         g, u = int(links.ch[k]), int(links.uav[k])
         raise InfeasibleInstanceError(
             f"link (ch={g}, uav={u}) exceeds the power cap even with all "
             f"{inst.total_rbs} resource blocks", ch=g, uav=u)
-    capped = np.flatnonzero(links.power(np.full(n_links, Z_MIN_ACTIVE)) > inst.pmax)
-    lo, hi = np.full(len(capped), Z_MIN_ACTIVE), np.full(len(capped), big_z)
-    c, coeff = links.c[capped], links.coeff[capped]
-    # power(lo) > pmax >= power(hi) throughout; once every midpoint rounds to
-    # an end, no bracket can shrink further and a level leaves lo and hi as
-    # they are, so that test is made once per 8 levels
+    # a link within the cap at Z_MIN_ACTIVE starts with lo = hi and never
+    # moves; for the others power(lo) > pmax >= power(hi) throughout. Once
+    # every midpoint rounds to an end, no bracket can shrink further and a
+    # level leaves lo and hi as they are, so that test is made once per 8 levels
+    lo = np.full(len(links.ch), Z_MIN_ACTIVE)
+    hi = np.where(links.power(lo) > inst.pmax, big_z, Z_MIN_ACTIVE)
     while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
         for _ in range(8):
-            too_hot = _required_power(c, coeff, mid) > inst.pmax
+            too_hot = links.power(mid) > inst.pmax
             np.copyto(lo, mid, where=too_hot)
             np.copyto(hi, mid, where=~too_hot)
             mid = 0.5 * (lo + hi)
     floors = np.full(len(links.uavs), Z_MIN_ACTIVE)
-    np.maximum.at(floors, links.seg[capped], hi)
+    np.maximum.at(floors, links.seg, hi)
     if floors.sum() > big_z + 1e-9:
         raise InfeasibleInstanceError(
             "power caps force more resource blocks than the budget holds",
@@ -397,9 +391,8 @@ def _row_scales(inst: RaInstance, z_ref: np.ndarray) -> tuple[np.ndarray, float]
     UAV), and its median; used to put those rows and the budget/cap
     multipliers on an O(1) footing."""
     links = inst.links
-    t = links.c / z_ref[links.seg]
-    slope = 2.0**t * (1.0 - t * _LN2) - 1.0
-    rho = links.per_uav(_rate_scale(links) * links.coeff * np.abs(slope))
+    slope = links.link_slopes(z_ref[links.seg])[0]
+    rho = links.per_uav(_rate_scale(links) * np.abs(slope))
     rho = np.where(np.isfinite(rho) & (rho > 0), rho, 1e-300)
     return rho, float(np.median(rho))
 
@@ -463,25 +456,13 @@ class KktSystem:
         zt, pt, s_cap, s_pmax, s_budget, s_rate = (x[b] for b in self._blocks)
         return zt, pt, s_cap, s_pmax, s_budget[0], s_rate
 
-    def _link_terms(self, zt: np.ndarray):
-        """Per link at z = zt * Z: required power, its z-slope over coeff
-        (`rb_term_derivative`) and that slope's z-derivative."""
-        links = self.links
-        z_link = zt[links.seg] * self.big_z
-        t = links.c / z_link
-        e = 2.0**t
-        req = links.coeff * (e - 1.0) * z_link
-        slope = e * (1.0 - t * _LN2) - 1.0
-        bend = e * (t * _LN2) ** 2 / z_link
-        return req, slope, bend
-
     @np.errstate(over="ignore", invalid="ignore")
     def residual(self, x: np.ndarray) -> np.ndarray:
         zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
         if zt.min() <= 1e-9 or zt.max() > 10.0:
             return np.full(self.size, np.inf)  # far off the feasible region; reject the step
         links, inst, p_scale = self.links, self.inst, self.p_scale
-        req, slope, _ = self._link_terms(zt)
+        z_link = zt[links.seg] * self.big_z
         lam_rate = self.sigma_rate * s_rate**2
         res = np.concatenate([
             s_cap**2 * (zt - 1.0),
@@ -489,8 +470,8 @@ class KktSystem:
             [s_budget**2 * (float(np.sum(zt)) - 1.0)],
             (links.weight + s_pmax**2 - lam_rate) / links.weight,
             (self.sigma_mult * (s_budget**2 - s_cap**2)
-             + links.per_uav(lam_rate * links.coeff * slope)) / self.rho,
-            s_rate**2 * (req - pt * p_scale) / p_scale,
+             + links.per_uav(lam_rate * links.link_slopes(z_link)[0])) / self.rho,
+            s_rate**2 * (links.power(z_link) - pt * p_scale) / p_scale,
         ])
         return res if np.all(np.isfinite(res)) else np.full(self.size, np.inf)
 
@@ -504,7 +485,7 @@ class KktSystem:
             return False
         zt, pt = self._split(x)[:2]
         z, power = zt * self.big_z, pt * self.p_scale
-        worst = max(float(np.max(self._link_terms(zt)[0] - power)),
+        worst = max(float(np.max(self.links.power(zt[self.links.seg] * self.big_z) - power)),
                     float(power.max()) - self.inst.pmax, -float(power.min()),
                     float(z.max()) - self.big_z, -float(z.min()),
                     float(z.sum()) - self.big_z)
@@ -514,7 +495,9 @@ class KktSystem:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
         links, inst, p_scale, rho = self.links, self.inst, self.p_scale, self.rho
-        req, slope, bend = self._link_terms(zt)
+        z_link = zt[links.seg] * self.big_z
+        req = links.power(z_link)
+        slope, bend = links.link_slopes(z_link)
         seg, w, n_u = links.seg, links.weight, len(zt)
         values = np.concatenate([
             # 1. s_cap**2 * (zt - 1)
@@ -527,12 +510,12 @@ class KktSystem:
             # 4. (w + s_pmax**2 - sigma_rate * s_rate**2) / w
             2.0 * s_pmax / w, -2.0 * self.sigma_rate * s_rate / w,
             # 5. (sigma_mult * (s_budget**2 - s_cap**2)
-            #     + sum_k sigma_rate * s_rate**2 * coeff * slope(Z zt)) / rho
+            #     + sum_k sigma_rate * s_rate**2 * slope(Z zt)) / rho
             2.0 * self.sigma_mult * s_budget / rho, -2.0 * self.sigma_mult * s_cap / rho,
-            2.0 * self.sigma_rate * s_rate * links.coeff * slope / rho[seg],
-            links.per_uav(self.sigma_rate * s_rate**2 * links.coeff * bend) * self.big_z / rho,
+            2.0 * self.sigma_rate * s_rate * slope / rho[seg],
+            links.per_uav(self.sigma_rate * s_rate**2 * bend) * self.big_z / rho,
             # 6. s_rate**2 * (req(Z zt) - pt * p_scale) / p_scale
-            s_rate**2 * links.coeff * slope * self.big_z / p_scale, -s_rate**2,
+            s_rate**2 * slope * self.big_z / p_scale, -s_rate**2,
             2.0 * s_rate * (req - pt * p_scale) / p_scale,
         ])
         jac = np.zeros(self.size * self.size)

@@ -7,14 +7,21 @@ numerology. At its 1 W cap the power constraints are slack; tests of the
 binding-cap regime lower `pmax` below the optimum's peak link power.
 `split_ch_instance` adds the case the greedy scheduler produces in nearly
 every plan: one CH served by two UAVs.
+
+Property tests run under a derandomized hypothesis profile, so every run of
+the suite draws the same examples; each test keeps its own `max_examples`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from uavm2m import channel
 from uavm2m.model import DwellMatrix, RadioParams
 from uavm2m.raopt import RaInstance
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 WAVELENGTH = 3e8 / 2e9
 BETA = channel.snr_gap(1e-7)

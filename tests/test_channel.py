@@ -65,6 +65,13 @@ def test_path_gain_parameter_errors():
         channel.path_gain(100.0, 0.15, 1.5)
 
 
+@pytest.mark.parametrize("nu", [math.nan, math.inf])
+def test_path_gain_rejects_non_finite_exponent(nu):
+    # nan passed the `< 2` test and gave a nan gain
+    with pytest.raises(ValueError, match="pathloss exponent must be finite and >= 2"):
+        channel.path_gain(100.0, 0.15, nu)
+
+
 def test_required_power_values():
     p_full = channel.required_power(100, 1, 15e3, 1.0, 0.103386, 2.7845e-12, 1e-20, 1.0)
     assert p_full == pytest.approx(2.413e-6, rel=0.01)

@@ -228,3 +228,38 @@ def test_unplannable_mu_is_a_usage_error(tmp_path, capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "uavm2m: error: mu=1e+308 leaves CH 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("row,message", [
+    ("p_tx = 1.5", "line 9: p_tx must be in [0, 1], got 1.5"),
+    ("pathloss_exponent = nan", "line 6: pathloss_exp must be finite and >= 2, got nan"),
+])
+def test_bad_scenario_file_is_a_usage_error(tmp_path, capsys, row, message):
+    scn = _gen(tmp_path)
+    key = row.split(" = ")[0]
+    text = scn.read_text()
+    old = next(line for line in text.splitlines() if line.startswith(f"{key} = "))
+    scn.write_text(text.replace(old, row))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve-ra", "--scenario", str(scn)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --scenario: {scn}: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("binary", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_unreadable_scenario_path_is_a_usage_error(tmp_path, capsys, kind, reason):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfe scenario")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve-ra", "--scenario", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --scenario: {path}: {reason}" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,16 @@ def test_baseline_reduction_grows_with_terrestrial_exponent():
     hi = harness.run_baseline_comparison(
         scenario, harness.BaselineSpec(pathloss_exp_terrestrial=6.4), seed=6)
     assert hi.reduction > lo.reduction
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("pathloss_exp_terrestrial", math.nan, "pathloss_exp_terrestrial must be finite and >= 2"),
+    ("pathloss_exp_terrestrial", math.inf, "pathloss_exp_terrestrial must be finite and >= 2"),
+    ("bs_height_m", math.inf, "bs_height_m must be finite and > 0"),
+])
+def test_baseline_spec_rejects_non_finite_values(field, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        harness.BaselineSpec(**{field: bad})
 
 
 def test_grid_positions_cover_area():

@@ -193,7 +193,8 @@ def test_radio_params_hold_the_range_checks():
                        ("area_side", 0.0), ("slot_seconds", 0.0),
                        ("packet_bits", np.inf), ("area_side", np.inf), ("slot_seconds", np.inf),
                        ("carrier_hz", 0.0), ("rb_bandwidth_hz", -15e3), ("noise_psd", np.nan),
-                       ("carrier_hz", np.inf)]:
+                       ("carrier_hz", np.inf), ("pathloss_exp", np.nan),
+                       ("pathloss_exp", np.inf), ("pmax_w", np.inf)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             RadioParams(**{field: bad})
 
@@ -208,6 +209,20 @@ def test_unusable_radio_value_names_its_line(lineno, row, field):
     lines = list(_MINIMAL_LINES)
     lines[lineno - 1] = row
     with pytest.raises(ScenarioFormatError, match=f"^line {lineno}: {field} must be finite and > 0"):
+        load_scenario("\n".join(lines))
+
+
+@pytest.mark.parametrize("lineno,row,message", [
+    (5, "pathloss_exponent = nan", "pathloss_exp must be finite and >= 2, got nan"),
+    (5, "pathloss_exponent = inf", "pathloss_exp must be finite and >= 2, got inf"),
+    (9, "pmax_w = inf", "pmax_w must be finite and > 0, got inf"),
+])
+def test_non_finite_radio_value_names_its_line(lineno, row, message):
+    # nan passed the `< 2` test and solved to nan powers; inf failed later in
+    # the pipeline with a traceback
+    lines = list(_MINIMAL_LINES)
+    lines[lineno - 1] = row
+    with pytest.raises(ScenarioFormatError, match=f"^line {lineno}: {message}$"):
         load_scenario("\n".join(lines))
 
 

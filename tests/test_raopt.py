@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -258,17 +260,16 @@ def test_kkt_prices_power_caps_per_link():
 
 
 def test_link_kernels_match_scalar_reference(rng):
-    # 2**t - 1 and the marginal's 2**t * (1 - t ln2) - 1 cancel for small
-    # t = c/z, so the scalar references lose digits there (a 1-ulp change of
-    # 2**t moves the marginal by ~4e-16 / (t ln2)**2 relative); z is drawn so
-    # that every link has t >= 0.05, where both stay accurate to 1e-12
+    # z is drawn so that each UAV's smallest t = c/z is log-uniform in
+    # [1e-4, 3]; in expm1 form neither the power nor the marginal cancels
+    # there (the marginal's 2**t * (1 - t ln2) - 1 loses ~1e-8 at t = 1e-4)
     for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
         links = inst.links
         d = inst.dwell.entries
         assert list(zip(links.ch, links.uav)) == [
             (g, u) for g in range(inst.num_chs) for u in range(inst.num_uavs) if d[u, g] > 0]
         c_min = np.array([links.c[links.seg == i].min() for i in range(len(links.uavs))])
-        z = c_min / rng.uniform(0.05, 3.0, size=len(links.uavs))
+        z = c_min / np.exp(rng.uniform(np.log(1e-4), np.log(3.0), size=len(links.uavs)))
         power = links.power(z[links.seg])
         ref_cost = np.zeros(len(links.uavs))
         ref_marginal = np.zeros(len(links.uavs))
@@ -285,42 +286,20 @@ def test_link_kernels_match_scalar_reference(rng):
         marginal, curvature = links.slopes(z)
         np.testing.assert_allclose(marginal, ref_marginal, rtol=1e-12)
         # curvature against central differences of the marginal, computed in
-        # extended precision as in the rb_term_derivative test
+        # extended precision and in expm1 form: at t = 1e-4 the 2**t form
+        # leaves ~5e-11 relative error in the marginal even in long double,
+        # which the differences amplify past 1e-6
         c = links.c.astype(np.longdouble)
         w_coeff = (links.weight * links.coeff).astype(np.longdouble)
 
         def marginal_ld(zz):
-            t = c / zz[links.seg]
-            per_link = w_coeff * (2 ** t * (1 - t * np.log(np.longdouble(2))) - 1)
+            a = c / zz[links.seg] * np.log(np.longdouble(2))
+            per_link = w_coeff * (np.expm1(a) * (1 - a) - a)
             return np.array([per_link[links.seg == i].sum() for i in range(len(z))])
 
         h = np.longdouble(1e-6) * z.astype(np.longdouble)
         numeric = (marginal_ld(z + h) - marginal_ld(z - h)) / (2 * h)
         np.testing.assert_allclose(curvature, numeric.astype(float), rtol=1e-6)
-
-
-def test_slopes_match_the_former_kernels(rng):
-    # the marginal and curvature expressions as they stood when each had its
-    # own pass over the links; the one-pass kernel keeps their operation
-    # order, so it must agree bit for bit
-    def marginal(links, z):
-        t = links.c / z[links.seg]
-        return links.per_uav(links.weight * links.coeff * (2.0**t * (1.0 - t * np.log(2.0)) - 1.0))
-
-    def curvature(links, z):
-        z_link = z[links.seg]
-        t = links.c / z_link
-        return links.per_uav(links.weight * links.coeff * 2.0**t * (t * np.log(2.0)) ** 2 / z_link)
-
-    for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
-        links = inst.links
-        floors = raopt._cap_floors(inst)
-        big_z = float(inst.total_rbs)
-        for z in (floors, np.full_like(floors, big_z),
-                  *(rng.uniform(floors, big_z) for _ in range(5))):
-            slope, bend = links.slopes(z)
-            assert np.array_equal(slope, marginal(links, z))
-            assert np.array_equal(bend, curvature(links, z))
 
 
 def test_objective_decreases_with_budget(rng):
@@ -437,6 +416,49 @@ def test_rb_term_derivative_matches_central_differences(rng):
         analytic = raopt.rb_term_derivative(float(c), float(z))
         assert analytic == pytest.approx(numeric, rel=1e-6)
         assert analytic < 0
+
+
+def test_scalar_references_match_extended_precision(rng):
+    # t = c/z log-uniform in [1e-4, 40]; against the expm1 forms in long
+    # double, the 2**t forms lose up to ~1e-7 (marginal) and ~1e-12 (power)
+    # to cancellation at small t
+    ln2 = np.log(np.longdouble(2))
+    worst_slope = worst_power = 0.0
+    for t in np.exp(rng.uniform(np.log(1e-4), np.log(40.0), size=500)):
+        z, dwell = rng.uniform(0.5, 64.0), rng.uniform(0.01, 1.0)
+        bz, slot = 15e3, rng.uniform(0.5, 2.0)
+        beta, gain, n0 = rng.uniform(0.05, 1.0), 10.0 ** rng.uniform(-14, -8), 1e-20
+        c = t * z
+        a = np.longdouble(c) / np.longdouble(z) * ln2
+        ref = np.expm1(a) * (1 - a) - a
+        worst_slope = max(worst_slope, abs(raopt.rb_term_derivative(c, z) / float(ref) - 1))
+        bits = t * z * bz * dwell * slot
+        a = (np.longdouble(bits) / (np.longdouble(z) * np.longdouble(bz) * np.longdouble(dwell)
+                                    * np.longdouble(slot)) * ln2)
+        ref = (np.longdouble(bz) * np.longdouble(n0) * np.expm1(a) * np.longdouble(z)
+               / (np.longdouble(beta) * np.longdouble(gain)))
+        power = channel.required_power(bits, z, bz, dwell, beta, gain, n0, slot)
+        worst_power = max(worst_power, abs(power / float(ref) - 1))
+    assert worst_slope <= 1e-9
+    assert worst_power <= 1e-13
+
+
+def test_rb_term_derivative_is_minus_inf_past_the_float_range():
+    # |expm1(a) * (1 - a) - a| passes the largest float at a_max, where
+    # a + log(a - 1) = log(DBL_MAX) (~703.2); past log(DBL_MAX) (~709.78)
+    # expm1 itself overflows, and the function still returns -inf
+    log_max = math.log(sys.float_info.max)
+    a_max = log_max
+    for _ in range(5):
+        a_max = log_max - math.log(a_max - 1.0)
+    ln2 = math.log(2.0)
+    below = raopt.rb_term_derivative(a_max * (1 - 1e-9) / ln2, 1.0)
+    assert math.isfinite(below) and below < 0
+    assert raopt.rb_term_derivative(a_max * (1 + 1e-9) / ln2, 1.0) == -math.inf
+    for a in (log_max * (1 + 1e-12), 1e4):
+        with pytest.raises(OverflowError):
+            math.expm1(a / ln2 * ln2)
+        assert raopt.rb_term_derivative(a / ln2, 1.0) == -math.inf
 
 
 def test_no_served_chs_degenerates_to_even_split():
@@ -635,7 +657,7 @@ def test_rb_cap_multiplier_enters_rb_stationarity_with_a_plus_sign():
     point = _zeroed_point(inst, z_value=big_z)
     point.power[0, 0] = inst.pair_power(0, 0, big_z)
     point.lam_rate[0, 0] = inst.dwell.entries[0, 0]
-    c, coeff = inst.pair_constants(0, 0)
+    c, coeff = inst.links.c[0], inst.links.coeff[0]
     s = -point.lam_rate[0, 0] * coeff * raopt.rb_term_derivative(c, big_z)
     point.lam_rb_cap[0] = 1.0
     point.lam_budget = 1.0 + s
