@@ -81,11 +81,10 @@ def average_ch_power(inst: raopt.RaInstance, sol: raopt.RaSolution) -> float:
     number of served CHs (and the quantity the power-vs-parameters figures
     track).
     """
-    d = inst.dwell.entries
-    served = int(np.count_nonzero(d.sum(axis=0) > 0))
+    served = int(np.count_nonzero(inst.dwell.entries.sum(axis=0) > 0))
     if served == 0:
         return 0.0
-    return float(np.sum(d.T * sol.power) / served)
+    return sol.objective / served
 
 
 def run_pipeline(

@@ -12,13 +12,12 @@ Three independent routes are provided and cross-checked against each other:
 * `solve_kkt`   - assembles the first-order optimality system of the relaxed
   convex program (power-delivery constraints tight, one power cap per link,
   multipliers nonnegative) and solves it as a nonlinear root-finding problem
-  with Levenberg-Marquardt, once from each of two starts that keep the
-  caps, stopping where the point would pass its final checks
-  (`KktSystem.accepts`); the first, a warm start with the multipliers of
-  slack constraints below tolerance and the others at the size of the rows
-  they enter, converges in ~3 iterations on 5-10 cluster plans and at
-  paper scale, and the second, an even share of the spare blocks, catches
-  binding caps.
+  with Levenberg-Marquardt on its reduced unknowns: per serving UAV the RB
+  count, held above its cap floor so that no iterate breaks a power cap,
+  one multiplier per link cap and the budget multiplier. LM runs once, from
+  a warm start with the cap multipliers below tolerance, and stops where
+  the point would pass its final checks (`KktSystem.accepts`), in ~3
+  iterations on 5-10 cluster plans and at paper scale.
 * `solve_reduced` - eliminates powers through the tight delivery constraint
   and minimizes the remaining separable convex function of z by bisecting on
   the shared multiplier that equalizes per-UAV marginal costs, solving for
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,11 +67,16 @@ class InfeasibleInstanceError(RuntimeError):
 
 
 class SolverConvergenceError(RuntimeError):
-    """The root-finder failed to reach the residual tolerance."""
+    """The root-finder stopped at a point that fails a check a returned point
+    must pass: `check` names it, `value` is what the point reached and
+    `bound` the largest value the check allows."""
 
-    def __init__(self, message: str, residual_norm: float):
-        super().__init__(message)
-        self.residual_norm = residual_norm
+    def __init__(self, check: str, value: float, bound: float):
+        super().__init__(
+            f"optimality system not solved to tolerance: {check} {value:.3e} > {bound:g}")
+        self.check = check
+        self.value = value
+        self.bound = bound
 
 
 @dataclass(frozen=True)
@@ -219,15 +222,14 @@ class RaSolution:
 class KktPoint:
     """Primal allocation plus the multipliers of the optimality system.
 
-    Multiplier names follow the constraint they price: `lam_rb_cap[u]` for
-    z_u <= Z, `lam_pmax[g, u]` for the link power cap P_gu <= pmax,
-    `lam_budget` for sum_u z_u <= Z, and `lam_rate[g, u]` for the
-    packet-delivery constraint.
+    Multiplier names follow the constraint they price: `lam_pmax[g, u]` for
+    the link power cap P_gu <= pmax, `lam_budget` for sum_u z_u <= Z, and
+    `lam_rate[g, u]` for the packet-delivery constraint. No multiplier
+    prices z_u <= Z: the budget and z > 0 imply it.
     """
 
     z: np.ndarray
     power: np.ndarray
-    lam_rb_cap: np.ndarray
     lam_pmax: np.ndarray
     lam_budget: float
     lam_rate: np.ndarray
@@ -271,15 +273,14 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
     Stacked in this order (`n_u` serving UAVs, `n_p` served links in
     ch-major order):
 
-      1. per serving UAV: lam_rb_cap * (z_u - Z)                     [n_u]
-      2. per link:        lam_pmax_gu * (P_gu - pmax)                [n_p]
-      3. shared budget:   lam_budget * (sum_u z_u - Z)               [1]
-      4. per link: power stationarity
+      1. per link:        lam_pmax_gu * (P_gu - pmax)                [n_p]
+      2. shared budget:   lam_budget * (sum_u z_u - Z)               [1]
+      3. per link: power stationarity
          dwell_ug + lam_pmax_gu - lam_rate_gu                        [n_p]
-      5. per serving UAV: RB stationarity
-         -lam_rb_cap + lam_budget
+      4. per serving UAV: RB stationarity
+         lam_budget
          + sum_g lam_rate_gu * coeff_gu * rb_term_derivative(c, z_u) [n_u]
-      6. per link: lam_rate_gu * (required_power_gu(z_u) - P_gu)     [n_p]
+      5. per link: lam_rate_gu * (required_power_gu(z_u) - P_gu)     [n_p]
 
     All entries are zero exactly at an optimal point of the relaxed program.
     """
@@ -295,11 +296,10 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
 
     big_z = float(inst.total_rbs)
     d = inst.dwell.entries
-    res = [point.lam_rb_cap[u] * (z[u] - big_z) for u in uavs]
-    res += [point.lam_pmax[g, u] * (power[g, u] - inst.pmax) for g, u in pairs]
+    res = [point.lam_pmax[g, u] * (power[g, u] - inst.pmax) for g, u in pairs]
     res.append(point.lam_budget * (sum(z[u] for u in uavs) - big_z))
     res += [d[u, g] + point.lam_pmax[g, u] - point.lam_rate[g, u] for g, u in pairs]
-    stat_z = {u: -point.lam_rb_cap[u] + point.lam_budget for u in uavs}
+    stat_z = dict.fromkeys(uavs, point.lam_budget)
     for (g, u), c, coeff in zip(pairs, inst.links.c.tolist(), inst.links.coeff.tolist()):
         stat_z[u] += point.lam_rate[g, u] * coeff * rb_term_derivative(c, float(z[u]))
     res += stat_z.values()
@@ -310,7 +310,7 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
 
 def max_feasibility_violation(inst: RaInstance, point: KktPoint) -> float:
     """Largest violation of the primal/dual feasibility conditions: tight
-    delivery, 0 < z_u <= Z, 0 < P <= pmax, sum z <= Z, multipliers >= 0."""
+    delivery, z_u > 0, 0 < P <= pmax, sum z <= Z, multipliers >= 0."""
     pairs = inst.active_pairs()
     uavs = inst.active_uavs()
     worst = 0.0
@@ -321,9 +321,7 @@ def max_feasibility_violation(inst: RaInstance, point: KktPoint) -> float:
         worst = max(worst, -point.lam_rate[g, u])
         worst = max(worst, -point.lam_pmax[g, u])
     for u in uavs:
-        worst = max(worst, point.z[u] - inst.total_rbs)
         worst = max(worst, -point.z[u])
-        worst = max(worst, -point.lam_rb_cap[u])
     worst = max(worst, sum(float(point.z[u]) for u in uavs) - inst.total_rbs)
     worst = max(worst, -point.lam_budget)
     return float(worst)
@@ -334,8 +332,7 @@ def _trivial_solution(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     z = np.full(inst.num_uavs, inst.total_rbs / inst.num_uavs)
     power = np.zeros((inst.num_chs, inst.num_uavs))
     point = KktPoint(
-        z=z, power=power,
-        lam_rb_cap=np.zeros(inst.num_uavs), lam_pmax=np.zeros((inst.num_chs, inst.num_uavs)),
+        z=z, power=power, lam_pmax=np.zeros((inst.num_chs, inst.num_uavs)),
         lam_budget=0.0, lam_rate=np.zeros((inst.num_chs, inst.num_uavs)),
         residuals=np.zeros(0),
     )
@@ -379,212 +376,154 @@ def _cap_floors(inst: RaInstance) -> np.ndarray:
     return floors
 
 
-def _rate_scale(links: LinkView) -> np.ndarray:
-    """Per link, the expected size of its delivery multiplier: power
-    stationarity with lam_pmax ~ 0 puts lam_rate at the link's dwell."""
-    return links.weight + 1e-6
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _row_scales(inst: RaInstance, z_ref: np.ndarray) -> tuple[np.ndarray, float]:
     """Magnitude of each RB-stationarity row at z_ref (one entry per serving
-    UAV), and its median; used to put those rows and the budget/cap
-    multipliers on an O(1) footing."""
+    UAV), with each delivery multiplier near its link's dwell (+ 1e-6), and
+    its median; used to put those rows and the budget multiplier on an O(1)
+    footing."""
     links = inst.links
     slope = links.link_slopes(z_ref[links.seg])[0]
-    rho = links.per_uav(_rate_scale(links) * np.abs(slope))
+    rho = links.per_uav((links.weight + 1e-6) * np.abs(slope))
     rho = np.where(np.isfinite(rho) & (rho > 0), rho, 1e-300)
     return rho, float(np.median(rho))
 
 
 class KktSystem:
-    """The optimality system of `kkt_residuals` in the unknowns that
+    """The optimality system of `kkt_residuals` on the unknowns that
     `solve_kkt` iterates on, with its analytic Jacobian.
 
-    x stacks, per serving UAV, zt = z / Z; per link, pt = P / p_scale; per
-    serving UAV, s_cap; per link, s_pmax; then s_budget; and per link,
-    s_rate. Multipliers are squares of these (lam_rb_cap = sigma_mult *
-    s_cap**2, lam_pmax = s_pmax**2, lam_budget = sigma_mult * s_budget**2,
-    lam_rate = sigma_rate * s_rate**2), so iterates stay sign-feasible. Row
-    k of `residual` is row k of `kkt_residuals` divided by `row_scale[k]`;
-    the RB-stationarity rows are normalized at the RB counts of `center`,
-    and powers by its largest link power `p_scale`. Scaling rows and
-    unknowns by positive constants leaves the roots unchanged.
+    x stacks, per serving UAV, et; per link, s_pmax; then s_budget. The RB
+    counts are z = floors + Z * et**2, held above the cap floors, so no
+    iterate breaks a power cap and no root breaking one is left (the
+    squared-variable bound reformulation, Nocedal & Wright, Numerical
+    Optimization, 2nd ed., ch. 17). Multipliers are squares too (lam_pmax =
+    s_pmax**2, lam_budget = sigma_mult * s_budget**2), so iterates stay
+    sign-feasible. Tight delivery and power stationarity fix the rest:
+    P = `LinkView.power(z)` and lam_rate = dwell + lam_pmax, which `decode`
+    fills in. The rows are rows 1, 2 and 4 of `kkt_residuals` (link cap,
+    budget, RB stationarity), row k divided by `row_scale[k]`; the
+    RB-stationarity rows are normalized at the RB counts of `center`.
+    Scaling rows and unknowns by positive constants leaves the roots unchanged.
     """
 
     def __init__(self, inst: RaInstance, center: KktPoint):
         links = self.links = inst.links
         self.inst = inst
-        self.p_scale = float(center.power.max())
         self.big_z = float(inst.total_rbs)
-        z_ref = np.clip(center.z[links.uavs], Z_MIN_ACTIVE, self.big_z)
-        self.rho, self.sigma_mult = _row_scales(inst, z_ref)
-        self.sigma_rate = _rate_scale(links)
+        self.floors = inst.cap_floors
+        self.rho, self.sigma_mult = _row_scales(inst, center.z[links.uavs])
         n_u, n_p = len(links.uavs), len(links.ch)
-        cols = np.cumsum([0, n_u, n_p, n_u, n_p, 1])  # block starts in x
-        self._blocks = [slice(a, b) for a, b in zip(cols, [*cols[1:], None])]
-        self.size = 2 * n_u + 3 * n_p + 1
+        self.size = n_u + n_p + 1
+        self.row_scale = np.concatenate([
+            np.full(n_p, inst.pmax), [self.sigma_mult * self.big_z], self.rho])
         # the Jacobian's nonzeros as one flat index, in the order `jacobian`
-        # lists their values; no position repeats
-        cz, cp, cc, cg, cb, cr = cols
-        r_cap, r_pmax, r_budget, r_stat_p, r_stat_z, r_rate = np.cumsum([0, n_u, n_p, 1, n_p, n_u])
+        # lists their values; no position repeats. Columns et, s_pmax,
+        # s_budget start at 0, n_u, n_u + n_p; rows 1, 2, 4 at 0, n_p, n_p + 1
+        cs, cb, r_budget, r_stat = n_u, n_u + n_p, n_p, n_p + 1
         iu, ip, seg = np.arange(n_u), np.arange(n_p), links.seg
         at = [  # (row, column) per entry
-            (r_cap + iu, cz + iu), (r_cap + iu, cc + iu),
-            (r_pmax + ip, cp + ip), (r_pmax + ip, cg + ip),
-            (np.full(n_u, r_budget), cz + iu), ([r_budget], [cb]),
-            (r_stat_p + ip, cg + ip), (r_stat_p + ip, cr + ip),
-            (r_stat_z + iu, np.full(n_u, cb)), (r_stat_z + iu, cc + iu),
-            (r_stat_z + seg, cr + ip), (r_stat_z + iu, cz + iu),
-            (r_rate + ip, cz + seg), (r_rate + ip, cp + ip), (r_rate + ip, cr + ip),
+            (ip, seg), (ip, cs + ip),
+            (np.full(n_u, r_budget), iu), ([r_budget], [cb]),
+            (r_stat + iu, iu), (r_stat + seg, cs + ip), (r_stat + iu, np.full(n_u, cb)),
         ]
         self._jac_at = np.ravel_multi_index(
             (np.concatenate([r for r, _ in at]), np.concatenate([c for _, c in at])),
             (self.size, self.size))
 
-    @property
-    def row_scale(self) -> np.ndarray:
-        """Per row, the factor that turns `residual` into `kkt_residuals`."""
-        n_u, n_p = len(self.links.uavs), len(self.links.ch)
-        return np.concatenate([
-            np.full(n_u, self.sigma_mult * self.big_z), np.full(n_p, self.inst.pmax),
-            [self.sigma_mult * self.big_z], self.links.weight, self.rho,
-            self.p_scale * self.sigma_rate,
-        ])
-
     def _split(self, x: np.ndarray):
-        zt, pt, s_cap, s_pmax, s_budget, s_rate = (x[b] for b in self._blocks)
-        return zt, pt, s_cap, s_pmax, s_budget[0], s_rate
+        """et, s_pmax, s_budget, and the RB counts z of the serving UAVs."""
+        n_u = len(self.floors)
+        et = x[:n_u]
+        return et, x[n_u:-1], x[-1], self.floors + self.big_z * et**2
 
     @np.errstate(over="ignore", invalid="ignore")
     def residual(self, x: np.ndarray) -> np.ndarray:
-        zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
-        if zt.min() <= 1e-9 or zt.max() > 10.0:
-            return np.full(self.size, np.inf)  # far off the feasible region; reject the step
-        links, inst, p_scale = self.links, self.inst, self.p_scale
-        z_link = zt[links.seg] * self.big_z
-        lam_rate = self.sigma_rate * s_rate**2
-        res = np.concatenate([
-            s_cap**2 * (zt - 1.0),
-            s_pmax**2 * (pt * p_scale - inst.pmax) / inst.pmax,
-            [s_budget**2 * (float(np.sum(zt)) - 1.0)],
-            (links.weight + s_pmax**2 - lam_rate) / links.weight,
-            (self.sigma_mult * (s_budget**2 - s_cap**2)
-             + links.per_uav(lam_rate * links.link_slopes(z_link)[0])) / self.rho,
-            s_rate**2 * (links.power(z_link) - pt * p_scale) / p_scale,
+        _, s_pmax, s_budget, z = self._split(x)
+        links, pmax = self.links, self.inst.pmax
+        z_link = z[links.seg]
+        return np.concatenate([
+            s_pmax**2 * (links.power(z_link) - pmax) / pmax,
+            [s_budget**2 * (float(np.sum(z)) / self.big_z - 1.0)],
+            (self.sigma_mult * s_budget**2
+             + links.per_uav((links.weight + s_pmax**2) * links.link_slopes(z_link)[0]))
+            / self.rho,
         ])
-        return res if np.all(np.isfinite(res)) else np.full(self.size, np.inf)
+
+    def shortfall(self, x: np.ndarray, r: np.ndarray) -> tuple[str, float, float] | None:
+        """The first stop check that x, with residual r, fails, as (check,
+        value, bound); None once ||r|| is within 1e-10 and the budget within
+        1e-10 blocks. The other feasibility conditions hold by construction,
+        the caps up to rounding at the floors. Without the budget check, 36
+        of the benchmark pool's 320 instances stop 1-3.3e-9 blocks over Z,
+        past the 1e-9 feasibility check, with ||r|| under 1e-10."""
+        norm = float(np.linalg.norm(r))
+        if not norm <= 1e-10:
+            return "scaled residual norm", norm, 1e-10
+        over = float(np.sum(self._split(x)[3])) - self.big_z
+        if over > 1e-10:
+            return "budget overspend (blocks)", over, 1e-10
+        return None
 
     def accepts(self, x: np.ndarray, r: np.ndarray) -> bool:
-        """LM's stop test: the point passes `solve_kkt`'s checks with a
-        tenfold margin, ||r * row_scale|| (the norm of `kkt_residuals`) within
-        1e-9 and primal feasibility within 1e-10. A fixed bound on ||r||
-        stops either before the budget row is feasible to 1e-9 blocks or
-        below the residual's rounding floor, where LM only rejects steps."""
-        if float(np.linalg.norm(r * self.row_scale)) > 1e-9:
-            return False
-        zt, pt = self._split(x)[:2]
-        z, power = zt * self.big_z, pt * self.p_scale
-        worst = max(float(np.max(self.links.power(zt[self.links.seg] * self.big_z) - power)),
-                    float(power.max()) - self.inst.pmax, -float(power.min()),
-                    float(z.max()) - self.big_z, -float(z.min()),
-                    float(z.sum()) - self.big_z)
-        return worst <= 1e-10
+        """LM's stop test: x passes every check of `shortfall`."""
+        return self.shortfall(x, r) is None
 
     @np.errstate(over="ignore", invalid="ignore")
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
-        links, inst, p_scale, rho = self.links, self.inst, self.p_scale, self.rho
-        z_link = zt[links.seg] * self.big_z
-        req = links.power(z_link)
+        et, s_pmax, s_budget, z = self._split(x)
+        links, pmax, big_z, rho = self.links, self.inst.pmax, self.big_z, self.rho
+        seg = links.seg
+        z_link = z[seg]
         slope, bend = links.link_slopes(z_link)
-        seg, w, n_u = links.seg, links.weight, len(zt)
+        dz = 2.0 * big_z * et  # dz / d et
         values = np.concatenate([
-            # 1. s_cap**2 * (zt - 1)
-            s_cap**2, 2.0 * s_cap * (zt - 1.0),
-            # 2. s_pmax**2 * (pt * p_scale - pmax) / pmax
-            s_pmax**2 * p_scale / inst.pmax,
-            2.0 * s_pmax * (pt * p_scale - inst.pmax) / inst.pmax,
-            # 3. s_budget**2 * (sum zt - 1)
-            np.full(n_u, s_budget**2), [2.0 * s_budget * (float(np.sum(zt)) - 1.0)],
-            # 4. (w + s_pmax**2 - sigma_rate * s_rate**2) / w
-            2.0 * s_pmax / w, -2.0 * self.sigma_rate * s_rate / w,
-            # 5. (sigma_mult * (s_budget**2 - s_cap**2)
-            #     + sum_k sigma_rate * s_rate**2 * slope(Z zt)) / rho
-            2.0 * self.sigma_mult * s_budget / rho, -2.0 * self.sigma_mult * s_cap / rho,
-            2.0 * self.sigma_rate * s_rate * slope / rho[seg],
-            links.per_uav(self.sigma_rate * s_rate**2 * bend) * self.big_z / rho,
-            # 6. s_rate**2 * (req(Z zt) - pt * p_scale) / p_scale
-            s_rate**2 * slope * self.big_z / p_scale, -s_rate**2,
-            2.0 * s_rate * (req - pt * p_scale) / p_scale,
+            # 1. s_pmax**2 * (power(z) - pmax) / pmax
+            s_pmax**2 * slope * dz[seg] / pmax,
+            2.0 * s_pmax * (links.power(z_link) - pmax) / pmax,
+            # 2. s_budget**2 * (sum z / Z - 1)
+            s_budget**2 * dz / big_z, [2.0 * s_budget * (float(np.sum(z)) / big_z - 1.0)],
+            # 4. (sigma_mult * s_budget**2 + sum_k (w + s_pmax**2) * slope(z)) / rho
+            links.per_uav((links.weight + s_pmax**2) * bend) * dz / rho,
+            2.0 * s_pmax * slope / rho[seg],
+            2.0 * self.sigma_mult * s_budget / rho,
         ])
         jac = np.zeros(self.size * self.size)
         jac[self._jac_at] = values
         return jac.reshape(self.size, self.size)
 
     def decode(self, x: np.ndarray) -> KktPoint:
-        zt, pt, s_cap, s_pmax, s_budget, s_rate = self._split(x)
+        _, s_pmax, s_budget, z_serving = self._split(x)
         links, inst = self.links, self.inst
         z = np.zeros(inst.num_uavs)
-        lam_rb_cap = np.zeros(inst.num_uavs)
-        z[links.uavs] = zt * self.big_z
-        lam_rb_cap[links.uavs] = self.sigma_mult * s_cap**2
-        power = np.zeros((inst.num_chs, inst.num_uavs))
+        z[links.uavs] = z_serving
         lam_pmax = np.zeros((inst.num_chs, inst.num_uavs))
-        lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
-        power[links.ch, links.uav] = pt * self.p_scale
         lam_pmax[links.ch, links.uav] = s_pmax**2
-        lam_rate[links.ch, links.uav] = self.sigma_rate * s_rate**2
-        return KktPoint(z=z, power=power, lam_rb_cap=lam_rb_cap, lam_pmax=lam_pmax,
-                        lam_budget=self.sigma_mult * s_budget**2, lam_rate=lam_rate)
+        return KktPoint(z=z, power=_powers_for(inst, z), lam_pmax=lam_pmax,
+                        lam_budget=self.sigma_mult * s_budget**2,
+                        lam_rate=inst.dwell.entries.T + lam_pmax)
 
     def encode(self, point: KktPoint) -> np.ndarray:
         links = self.links
         return np.concatenate([
-            np.clip(point.z[links.uavs], Z_MIN_ACTIVE, 9.0 * self.big_z) / self.big_z,
-            point.power[links.ch, links.uav] / self.p_scale,
-            np.sqrt(np.maximum(point.lam_rb_cap[links.uavs], 0.0) / self.sigma_mult),
+            np.sqrt(np.maximum(point.z[links.uavs] - self.floors, 0.0) / self.big_z),
             np.sqrt(np.maximum(point.lam_pmax[links.ch, links.uav], 0.0)),
             [math.sqrt(max(point.lam_budget, 0.0) / self.sigma_mult)],
-            np.sqrt(np.maximum(point.lam_rate[links.ch, links.uav], 0.0) / self.sigma_rate),
         ])
 
 
-def _initial_point(inst: RaInstance, z_serving: np.ndarray, lam_budget: float,
-                   lam_rb_cap: float, lam_pmax: float) -> KktPoint:
-    """Tight delivery powers at z_serving blocks per serving UAV, delivery
-    multipliers at their expected sizes, and the budget, per-UAV RB cap and
-    link power cap multipliers as given."""
-    links = inst.links
-    z = np.zeros(inst.num_uavs)
-    z[links.uavs] = z_serving
-    lam_rb_caps = np.zeros(inst.num_uavs)
-    lam_rb_caps[links.uavs] = lam_rb_cap
-    lam_pmaxs = np.zeros((inst.num_chs, inst.num_uavs))
-    lam_pmaxs[links.ch, links.uav] = lam_pmax
-    lam_rate = np.zeros((inst.num_chs, inst.num_uavs))
-    lam_rate[links.ch, links.uav] = _rate_scale(links)
-    return KktPoint(z=z, power=_powers_for(inst, z), lam_rb_cap=lam_rb_caps,
-                    lam_pmax=lam_pmaxs, lam_budget=lam_budget, lam_rate=lam_rate)
+def _kkt_start(inst: RaInstance) -> KktPoint:
+    """The start point of `solve_kkt`: every serving UAV at its cap floor
+    plus a share of the blocks the floors leave over, so it keeps the power
+    caps, with the share of a small-exponent approximation.
 
-
-def _kkt_starts(inst: RaInstance) -> Iterator[KktPoint]:
-    """The two start points of `solve_kkt`, made one at a time in the order
-    tried. Each puts every serving UAV at its cap floor plus a share of the
-    blocks the floors leave over, so both keep the power caps: first the
-    share of a small-exponent warm start, then an even share.
-
-    The warm start sets the budget multiplier at sigma, the median size of
-    the RB-stationarity rows there (`_row_scales`), and the multipliers of
-    the constraints that are slack at a typical optimum near 1e-16: the
-    RB caps at 1e-16 * sigma and the link power caps at an absolute 1e-16.
-    Every entry of its scaled residual is then O(1), and the complementarity
-    rows s**2 * g of the slack constraints start below tolerance. At 1e-6
-    those rows gate convergence: their double root at s = 0 lets LM only
-    halve s per step, ~12 iterations instead of ~3. The even start keeps
-    absolute 1e-6 multipliers: it is the fallback for the binding-cap
-    instances the warm start misses. Smaller even shares never win on the
-    benchmark pool or on its binding-cap variants."""
+    The budget multiplier sits at sigma, the median size of the
+    RB-stationarity rows there (`_row_scales`), and the link power cap
+    multipliers, slack at a typical optimum, at 1e-16. Every entry of the
+    scaled residual is then O(1), and the complementarity rows s**2 * g of
+    the slack caps start below tolerance. At 1e-6 those rows gate
+    convergence: their double root at s = 0 lets LM only halve s per step,
+    ~12 iterations instead of ~3."""
     links = inst.links
     floors = inst.cap_floors
     spare = max(float(inst.total_rbs) - floors.sum(), 0.0)
@@ -592,47 +531,48 @@ def _kkt_starts(inst: RaInstance) -> Iterator[KktPoint]:
     # marginal costs put z proportional to sqrt(K); a strong warm start
     # whenever packets are far from saturating their links
     k_load = np.maximum(
-        links.per_uav(_rate_scale(links) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300)
-    warm = floors + spare * np.sqrt(k_load) / np.sum(np.sqrt(k_load))
-    sigma = _row_scales(inst, warm)[1]
-    yield _initial_point(inst, warm, sigma, 1e-16 * sigma, 1e-16)
-    yield _initial_point(inst, floors + spare / len(floors), 1e-6, 1e-6, 1e-6)
+        links.per_uav((links.weight + 1e-6) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300)
+    z_serving = floors + spare * np.sqrt(k_load) / np.sum(np.sqrt(k_load))
+    z = np.zeros(inst.num_uavs)
+    z[links.uavs] = z_serving
+    lam_pmax = np.zeros((inst.num_chs, inst.num_uavs))
+    lam_pmax[links.ch, links.uav] = 1e-16
+    return KktPoint(z=z, power=_powers_for(inst, z), lam_pmax=lam_pmax,
+                    lam_budget=_row_scales(inst, z_serving)[1],
+                    lam_rate=inst.dwell.entries.T + lam_pmax)
 
 
 def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     """Solve the optimality system by Levenberg-Marquardt root finding.
 
-    Runs LM once from each of `_kkt_starts`, on the rescaled unknowns of
-    `KktSystem` with its analytic Jacobian and its stop test `accepts`, and
-    returns the first point with
-    ||kkt_residuals|| <= 1e-8 and feasibility within 1e-9; else a
-    SolverConvergenceError reports the best residual norm reached. Power
-    caps that no allocation meets raise InfeasibleInstanceError, decided by
-    the cap floors as in `solve_reduced`.
+    Runs LM once from `_kkt_start`, on the unknowns of `KktSystem` with its
+    analytic Jacobian and its stop test `accepts`, and returns the point it
+    reaches only if `accepts` holds there and the point passes the scalar
+    checks ||kkt_residuals|| <= 1e-8 and feasibility within 1e-9; else a
+    SolverConvergenceError names the first check that failed and its value.
+    Power caps that no allocation meets raise InfeasibleInstanceError,
+    decided by the cap floors as in `solve_reduced`.
     """
     if not len(inst.links.ch):
         return _trivial_solution(inst)
-    best_norm = math.inf
-    for start in _kkt_starts(inst):
-        system = KktSystem(inst, start)
-        result = lma.solve(system.residual, system.encode(start),
-                           jacobian=system.jacobian, done=system.accepts)
-        point = system.decode(result.solution)
-        point.accepted_costs = result.accepted_costs
-        try:
-            point.residuals = kkt_residuals(point, inst)
-        except (ValueError, OverflowError):
-            continue
+    start = _kkt_start(inst)
+    system = KktSystem(inst, start)
+    result = lma.solve(system.residual, system.encode(start),
+                       jacobian=system.jacobian, done=system.accepts)
+    x = result.solution
+    point = system.decode(x)
+    point.accepted_costs = result.accepted_costs
+    failed = system.shortfall(x, system.residual(x))
+    if failed is None:
+        point.residuals = kkt_residuals(point, inst)
         norm = float(np.linalg.norm(point.residuals))
-        best_norm = min(best_norm, norm)
-        if norm <= 1e-8 and max_feasibility_violation(inst, point) <= 1e-9:
-            return RaSolution(z=point.z.copy(), power=point.power.copy(),
-                              objective=objective_value(inst, point.power)), point
-
-    raise SolverConvergenceError(
-        f"optimality system not solved to tolerance (best residual norm {best_norm:.3e})",
-        residual_norm=best_norm,
-    )
+        worst = max_feasibility_violation(inst, point)
+        failed = (("kkt_residuals norm", norm, 1e-8) if not norm <= 1e-8 else
+                  ("feasibility violation", worst, 1e-9) if not worst <= 1e-9 else None)
+    if failed is not None:
+        raise SolverConvergenceError(*failed)
+    return RaSolution(z=point.z.copy(), power=point.power.copy(),
+                      objective=objective_value(inst, point.power)), point
 
 
 # ---------------------------------------------------------------------------

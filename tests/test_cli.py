@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 from uavm2m import cli, harness, queueing, scheduler
-from uavm2m.model import load_scenario
+from uavm2m.model import RadioParams, generate_scenario, load_scenario, save_scenario
 
 
 def _gen(tmp_path, name="scn.txt", extra=()):
@@ -97,6 +98,20 @@ def test_solve_ra_file_format(tmp_path, capsys):
     assert "objective_w=" in text
     err = capsys.readouterr().err
     assert "kkt_objective_w=" in err and "u_min=" in err
+
+
+def test_solve_ra_reaches_a_binding_power_cap(tmp_path, capsys):
+    # a crosscheck-pool scenario saved with pmax_w just below its uncapped
+    # optimum's peak link power: both routes reach the capped optimum
+    seed = 582525683
+    scenario = generate_scenario(seed, 7, 1, 10, RadioParams(total_rbs=6))
+    peak = float(harness.run_pipeline(scenario, seed=seed).continuous.power.max())
+    scn = tmp_path / "capped.txt"
+    scn.write_text(save_scenario(dataclasses.replace(scenario, pmax_w=0.999 * peak)))
+    assert cli.main(["solve-ra", "--scenario", str(scn), "--seed", str(seed),
+                     "--solver", "both", "--out", str(tmp_path / "ra.csv")]) == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().err.split())
+    assert fields["kkt_objective_w"] == fields["continuous_objective_w"]
 
 
 def test_sweep_byte_identical_reruns(tmp_path):

@@ -13,16 +13,15 @@ from conftest import BETA, WAVELENGTH, random_instance, single_link_instance, sp
 
 
 def _kkt_block_offsets(inst):
-    """Start offsets of the six residual blocks, in stacked order."""
+    """Start offsets of the five residual blocks, in stacked order."""
     n_u = len(inst.active_uavs())
     n_p = len(inst.active_pairs())
-    rb_cap = 0
-    pmax = rb_cap + n_u
+    pmax = 0
     budget = pmax + n_p
     stat_p = budget + 1
     stat_z = stat_p + n_p
     rate = stat_z + n_u
-    return rb_cap, pmax, budget, stat_p, stat_z, rate, rate + n_p
+    return pmax, budget, stat_p, stat_z, rate, rate + n_p
 
 
 def _zeroed_point(inst, z_value):
@@ -32,7 +31,6 @@ def _zeroed_point(inst, z_value):
     return raopt.KktPoint(
         z=z,
         power=np.zeros((inst.num_chs, inst.num_uavs)),
-        lam_rb_cap=np.zeros(inst.num_uavs),
         lam_pmax=np.zeros((inst.num_chs, inst.num_uavs)),
         lam_budget=0.0,
         lam_rate=np.zeros((inst.num_chs, inst.num_uavs)),
@@ -45,7 +43,7 @@ def test_residuals_with_zero_multipliers_reduce_to_dwell_totals(rng):
     for inst in [random_instance(rng, max_uavs=3, max_chs=5), split_ch_instance()]:
         point = _zeroed_point(inst, z_value=inst.total_rbs / 2)
         res = raopt.kkt_residuals(point, inst)
-        _, _, _, stat_p, stat_z, rate, end = _kkt_block_offsets(inst)
+        _, _, stat_p, stat_z, rate, end = _kkt_block_offsets(inst)
         d = inst.dwell.entries
         for k, (g, u) in enumerate(inst.active_pairs()):
             assert res[stat_p + k] == pytest.approx(d[u, g], rel=1e-12)
@@ -105,8 +103,6 @@ def test_complementary_slackness_at_convergence(rng):
         _, point = raopt.solve_kkt(inst)
         z_total = sum(point.z[u] for u in inst.active_uavs())
         assert abs(point.lam_budget * (z_total - inst.total_rbs)) < 1e-8
-        for u in inst.active_uavs():
-            assert abs(point.lam_rb_cap[u] * (point.z[u] - inst.total_rbs)) < 1e-8
         for g, u in inst.active_pairs():
             assert abs(point.lam_pmax[g, u] * (point.power[g, u] - inst.pmax)) < 1e-8
 
@@ -156,22 +152,27 @@ def test_solver_cross_agreement_split_ch():
     assert sol_k.objective == pytest.approx(sol_r.objective, rel=1e-6)
 
 
-def _kkt_iterates(rng):
-    """(system, x) at every start of `solve_kkt` and at the final LM iterate
-    from it, on the split-CH instance and 30 random ones."""
-    for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
-        for start in raopt._kkt_starts(inst):
-            system = raopt.KktSystem(inst, start)
-            x0 = system.encode(start)
-            yield system, x0
-            yield system, lma.solve(system.residual, x0, jacobian=system.jacobian).solution
+def _kkt_iterates(instances):
+    """(system, x) at the start of `solve_kkt` and at the final LM iterate
+    from it, on each instance."""
+    for inst in instances:
+        start = raopt._kkt_start(inst)
+        system = raopt.KktSystem(inst, start)
+        x0 = system.encode(start)
+        yield system, x0
+        yield system, lma.solve(system.residual, x0, jacobian=system.jacobian).solution
+
+
+def _kkt_fixtures(rng):
+    return [split_ch_instance(), *(random_instance(rng) for _ in range(30))]
 
 
 def test_kkt_jacobian_matches_central_differences(rng):
     # a relative step of 1e-5 keeps both the truncation error and the
     # rounding noise of the near-cancelling delivery rows below 1e-5 of the
     # largest entry
-    for system, x in _kkt_iterates(rng):
+    for system, x in _kkt_iterates(_kkt_fixtures(rng)):
+        assert system.size == len(system.links.uavs) + len(system.links.ch) + 1
         jac = system.jacobian(x)
         numeric = np.empty_like(jac)
         for i in range(x.size):
@@ -184,25 +185,32 @@ def test_kkt_jacobian_matches_central_differences(rng):
 
 def test_scaled_kkt_residual_matches_scalar_reference(rng):
     # every term is O(1) or smaller (dwells, multipliers near dwell, powers
-    # under the 1 W cap), so a reordered sum moves a row by a few 1e-16
-    for system, x in _kkt_iterates(rng):
+    # under the 1 W cap), so a reordered sum moves a row by a few 1e-16. The
+    # system's rows are rows 1, 2 and 4 of `kkt_residuals`; `decode` fills
+    # in the powers and delivery multipliers that make rows 3 and 5 vanish
+    for system, x in _kkt_iterates(_kkt_fixtures(rng)):
         point = system.decode(x)
+        full = raopt.kkt_residuals(point, system.inst)
+        _, _, stat_p, stat_z, rate, end = _kkt_block_offsets(system.inst)
         np.testing.assert_allclose(system.residual(x) * system.row_scale,
-                                   raopt.kkt_residuals(point, system.inst),
+                                   np.concatenate([full[:stat_p], full[stat_z:rate]]),
                                    rtol=1e-9, atol=1e-14)
+        assert np.all(full[stat_p:stat_z] == 0)
+        np.testing.assert_allclose(full[rate:end], 0.0, atol=1e-14)
 
 
 def test_reduced_solves_instances_with_binding_caps(rng):
     # pmax just below the uncapped optimum's peak link power: the even split
     # Z/n can break the cap while an uneven split still keeps it. The KKT
-    # route must never call such an instance infeasible; it may still fail
-    # to converge on it
+    # route must never call such an instance infeasible. Its single LM run
+    # verifies only some of them (a floor on the count below); the others
+    # raise SolverConvergenceError and are left to a fallback route
     slacks = [split_ch_instance(6)]
     while len(slacks) < 41:
         slack = random_instance(rng)
         if len(slack.active_uavs()) >= 2:
             slacks.append(slack)
-    solved = binding = 0
+    solved = binding = verified = 0
     for slack in slacks:
         uncapped = raopt.solve_reduced(slack)
         inst = dataclasses.replace(slack, pmax=0.999 * float(uncapped.power.max()))
@@ -229,6 +237,7 @@ def test_reduced_solves_instances_with_binding_caps(rng):
             assert np.linalg.norm(raopt.kkt_residuals(point, inst)) <= 1e-8
             assert raopt.max_feasibility_violation(inst, point) <= 1e-9
             assert sol_k.objective == pytest.approx(sol.objective, rel=1e-6)
+            verified += 1
         # optimality: UAVs off their cap floor share one marginal cost; a UAV
         # held at its floor gains less from a block and would give blocks
         # away if its cap allowed
@@ -241,7 +250,8 @@ def test_reduced_solves_instances_with_binding_caps(rng):
         if len(free):
             assert free.max() - free.min() <= 1e-6 * free.mean()
             assert np.all(level[at_floor] <= free.mean() * (1 + 1e-6))
-    assert solved > 0 and binding > 0
+    # the KKT route verifies 5 of the 13 feasible draws
+    assert solved > 0 and binding > 0 and verified >= 5
 
 
 def test_kkt_prices_power_caps_per_link():
@@ -624,34 +634,27 @@ def test_kkt_warm_start_residual_is_order_one(rng):
     # the warm start's multipliers sit at the sizes of the rows they enter,
     # so LM starts from a scaled residual of O(1), not ~4e2 in the cap rows
     for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
-        start = next(raopt._kkt_starts(inst))
+        start = raopt._kkt_start(inst)
         system = raopt.KktSystem(inst, start)
         assert np.abs(system.residual(system.encode(start))).max() <= 1.0
 
 
-def test_kkt_starts_are_the_warm_and_even_shares(rng):
-    # two starts, each at or above every UAV's cap floor, so both keep every
-    # link's power cap, on binding-cap instances too; the second is the
-    # even share of the blocks the floors leave over
-    for inst in _cap_floor_fixtures(rng):
-        links = inst.links
-        floors = raopt._cap_floors(inst)
-        starts = list(raopt._kkt_starts(inst))
-        assert len(starts) == 2
-        for start in starts:
-            assert np.all(start.z[links.uavs] >= floors)
-            assert np.all(start.power[links.ch, links.uav] <= inst.pmax)
-        even = floors + (inst.total_rbs - floors.sum()) / len(floors)
-        np.testing.assert_array_equal(starts[1].z[links.uavs], even)
+def test_kkt_start_and_end_keep_every_cap(rng):
+    # z = floors + Z * et**2 holds every RB count at or above its UAV's cap
+    # floor, at the start and wherever LM ends, on binding-cap instances
+    # too; a link whose floor sets its UAV's may sit at pmax up to rounding
+    for system, x in _kkt_iterates(_cap_floor_fixtures(rng)):
+        inst, links = system.inst, system.links
+        point = system.decode(x)
+        assert np.all(point.z[links.uavs] >= inst.cap_floors)
+        assert np.all(point.power[links.ch, links.uav] <= inst.pmax * (1 + 1e-12))
 
 
-@pytest.mark.xfail(strict=True, reason="RB stationarity prices z_u <= Z with -lam_rb_cap; "
-                                       "the Lagrangian of that constraint gives +lam_rb_cap")
-def test_rb_cap_multiplier_enters_rb_stationarity_with_a_plus_sign():
-    # one link at z = Z with both the RB cap and the budget active: RB
-    # stationarity needs lam_budget + lam_rb_cap = s, where s is the size of
-    # the delivery term. lam_rb_cap = 1 and lam_budget = 1 + s break it by 2,
-    # but with the cap multiplier's sign flipped the row reads zero
+def test_kkt_residuals_reject_a_point_off_rb_stationarity():
+    # one link at z = Z with tight delivery and its delivery multiplier at
+    # its dwell: RB stationarity needs lam_budget = s, the size of the
+    # delivery term. With lam_budget = s - 1 that row reads -1 and every
+    # other row vanishes
     inst = single_link_instance()
     big_z = float(inst.total_rbs)
     point = _zeroed_point(inst, z_value=big_z)
@@ -659,13 +662,24 @@ def test_rb_cap_multiplier_enters_rb_stationarity_with_a_plus_sign():
     point.lam_rate[0, 0] = inst.dwell.entries[0, 0]
     c, coeff = inst.links.c[0], inst.links.coeff[0]
     s = -point.lam_rate[0, 0] * coeff * raopt.rb_term_derivative(c, big_z)
-    point.lam_rb_cap[0] = 1.0
-    point.lam_budget = 1.0 + s
-    _, _, _, _, stat_z, _, _ = _kkt_block_offsets(inst)
-    assert abs(raopt.kkt_residuals(point, inst)[stat_z]) >= 1.0
-    system = raopt.KktSystem(inst, point)
-    scaled = system.residual(system.encode(point)) * system.row_scale
-    assert abs(scaled[stat_z]) >= 1.0
+    assert s > 0
+    point.lam_budget = s - 1.0
+    res = raopt.kkt_residuals(point, inst)
+    _, _, _, stat_z, _, _ = _kkt_block_offsets(inst)
+    assert res[stat_z] == pytest.approx(-1.0, rel=1e-12)
+    assert np.all(np.delete(res, stat_z) == 0)
+
+
+def test_convergence_error_names_the_failed_check():
+    # a crosscheck-pool plan with a binding cap where LM stalls at a
+    # stationary point of ||r||**2 that is no root
+    scenario = generate_scenario(239858209, 5, 1, 10, RadioParams(total_rbs=6))
+    inst = _binding_cap(harness.run_pipeline(scenario, seed=239858209).instance)
+    with pytest.raises(raopt.SolverConvergenceError) as err:
+        raopt.solve_kkt(inst)
+    assert err.value.check == "scaled residual norm" and err.value.bound == 1e-10
+    assert err.value.value > 1e-3
+    assert f"scaled residual norm {err.value.value:.3e} > 1e-10" in str(err.value)
 
 
 @pytest.mark.parametrize("seed,clusters,rbs", [
