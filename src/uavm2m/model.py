@@ -81,8 +81,9 @@ class RadioParams:
             raise ValueError(f"pmax_w must be finite and > 0, got {self.pmax_w}")
         if not 2 <= self.pathloss_exp < np.inf:
             raise ValueError(f"pathloss_exp must be finite and >= 2, got {self.pathloss_exp}")
-        if not (0 < self.ber_target < 1):
-            raise ValueError(f"ber_target must be in (0, 1), got {self.ber_target}")
+        # the SNR gap -1.5 / ln(5 * ber) is defined only below 0.2
+        if not (0 < self.ber_target < 0.2):
+            raise ValueError(f"ber_target must be in (0, 0.2), got {self.ber_target}")
         if not 0 < self.area_side < np.inf:
             raise ValueError(f"area_side must be finite and > 0, got {self.area_side}")
         if not 0 < self.slot_seconds < np.inf:

@@ -234,24 +234,131 @@ def is_rate_stable(trace: QueueTrace, epsilon: float) -> bool:
     return bool(np.max(trace.final_rates()) < epsilon)
 
 
-# slots formatted per write: ~20k rows at 20 CHs, a few hundred KB of text
-_TRACE_BLOCK_SLOTS = 1024
+# slots per block, the unit that is sampled, sorted and formatted once per
+# distinct string (~41k values at 20 CHs), and slots per write, which bounds
+# the row pieces and text held at once
+_TRACE_BLOCK_SLOTS = 2048
+_TRACE_WRITE_SLOTS = 512
+# values per block read to estimate its repeat share, and the share of that
+# sample whose 9-digit key repeats at or above which formatting each distinct
+# string once beats formatting every value (measured break-even)
+_REPEAT_SAMPLE = 1024
+_REPEAT_SHARE_MIN = 0.2
+# 10**k for k in [-300, 308], indexed by k + 300
+_POW10 = 10.0 ** np.arange(-300.0, 309.0)
+
+
+def _nine_digit_keys(x: np.ndarray) -> np.ndarray:
+    """rint(x * 10**(8 - e)) for e = floor(log10 |x|) clipped to [-300, 308],
+    tagged with e: equal keys mostly, not always, mean equal '%.9g' strings."""
+    k = np.abs(x)
+    with np.errstate(divide="ignore"):
+        np.log10(k, out=k)
+    np.floor(k, out=k)
+    np.clip(k, -300.0, 308.0, out=k)
+    np.subtract(308.0, k, out=k)  # the index of 10**(8 - e) in _POW10
+    key = _POW10[k.astype(np.intp)]
+    key *= x
+    np.rint(key, out=key)
+    # the key stays below 2**34 when e is right, so the tag keeps decades apart
+    k *= 2.0**34
+    key += k
+    return key
+
+
+def _repeat_share(block: np.ndarray) -> float:
+    """Share of a sample of a (slots, CHs) block, evenly spaced slots and all
+    CHs, whose 9-digit key repeats one already drawn."""
+    step = max(1, block.size // _REPEAT_SAMPLE)
+    keys = np.sort(_nine_digit_keys(block[::step].ravel()))
+    # np.unique would import numpy.ma, ~0.5 MB, on its first call
+    return np.count_nonzero(keys[1:] == keys[:-1]) / max(keys.size, 1)
+
+
+def _nine_digit_lines(values: np.ndarray) -> np.ndarray:
+    """`f"{x:.9g}\\n"` for each value of a 1-D array, as an object array,
+    formatting each distinct string about once.
+
+    The values are sorted by their bits, which for values >= 0 is their
+    order, with every -0.0 before 0.0. Sorted neighbours with the same
+    `_nine_digit_keys` form a group; a group whose first and last values
+    print the same takes that string (see `write_trace_csv` for why), and
+    one whose ends differ is formatted value by value. The ends are compared
+    by their bits, because -0.0 == 0.0 but '%.9g' prints '-0' and '0'
+    (`np.unique` would merge them). The keys only decide the grouping, never
+    the text.
+    """
+    n = values.size
+    order = np.argsort(values.view(np.int64))
+    bits = values.view(np.int64)[order]
+    starts = _group_starts(bits)
+    ends = np.append(starts[1:], n) - 1
+    x = bits.view(np.float64)
+    lines = ["%.9g\n" % v for v in x[starts].tolist()]
+    group = np.repeat(np.arange(starts.size), ends - starts + 1)
+    spans = np.flatnonzero(bits[starts] != bits[ends])
+    tops = ["%.9g\n" % v for v in x[ends[spans]].tolist()]
+    for k, top in zip(spans.tolist(), tops):
+        if top != lines[k]:
+            a, b = starts[k], ends[k] + 1
+            group[a:b] = np.arange(len(lines), len(lines) + b - a)
+            lines.extend("%.9g\n" % v for v in x[a:b].tolist())
+    rows = np.empty(n, dtype=np.intp)
+    rows[order] = group
+    return np.array(lines, dtype=object)[rows]
+
+
+def _group_starts(bits: np.ndarray) -> np.ndarray:
+    """Where the groups of sorted float bits start: at each new
+    `_nine_digit_keys` value. (Apart from `_nine_digit_lines` so that the
+    keys are freed before the strings are built.)"""
+    key = _nine_digit_keys(bits.view(np.float64))
+    new = np.empty(bits.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def write_trace_csv(trace: QueueTrace, out: IO[str]) -> None:
-    """Emit `slot,ch_id,backlog` rows for the whole trace, slot-major.
+    """Emit `slot,ch_id,backlog` rows for the whole trace, slot-major, in
+    blocks of `_TRACE_BLOCK_SLOTS` slots written `_TRACE_WRITE_SLOTS` at a time.
 
-    Each block of slots is formatted by one `%` call on a row template that
-    holds the CH ids as literals; '%.9g' and f'{x:.9g}' use the same float
-    conversion, so the bytes equal a per-row f-string loop's.
+    A block whose sampled values repeat often goes through
+    `_nine_digit_lines`, which formats each distinct 9-digit string once; its
+    rows are joined from the slot number, the CH id and that string. This is
+    exact because correctly rounded '%.9g' is monotone in x (Gay, "Correctly
+    rounded binary-decimal and decimal-binary conversions", 1990): for
+    lo <= x <= hi, round9(lo) <= round9(x) <= round9(hi), so when lo and hi
+    print the same, so does every x between them. Any other block is
+    formatted by one `%` call per write on a row template that holds the CH
+    ids as literals. '%.9g' and f'{x:.9g}' use the same float conversion, so
+    on either path the bytes equal a per-row f-string loop's.
     """
     out.write("slot,ch_id,backlog\n")
     num_chs = trace.num_chs
     slot_rows = "".join(f"%d,{g},%.9g\n" for g in range(num_chs))
-    for a in range(0, trace.horizon + 1, _TRACE_BLOCK_SLOTS):
-        block = trace.backlog[:, a:a + _TRACE_BLOCK_SLOTS].T
-        slots = block.shape[0]
-        args = [None] * (2 * block.size)
-        args[0::2] = np.repeat(np.arange(a, a + slots), num_chs).tolist()
-        args[1::2] = block.ravel().tolist()
-        out.write((slot_rows * slots) % tuple(args))
+    ch_ids = [f"{g}," for g in range(num_chs)]
+    block_slots, write_slots = _TRACE_BLOCK_SLOTS, _TRACE_WRITE_SLOTS
+    for a in range(0, trace.horizon + 1, block_slots):
+        block = trace.backlog[:, a:a + block_slots].T
+        lines = None
+        if _repeat_share(block) >= _REPEAT_SHARE_MIN:
+            lines = _nine_digit_lines(block.ravel()).reshape(block.shape)
+        for c in range(0, block.shape[0], write_slots):
+            first = a + c
+            if lines is None:
+                rows = block[c:c + write_slots]
+                slots = rows.shape[0]
+                args = [None] * (2 * rows.size)
+                args[0::2] = np.repeat(np.arange(first, first + slots), num_chs).tolist()
+                args[1::2] = rows.ravel().tolist()
+                out.write((slot_rows * slots) % tuple(args))
+            else:
+                rows = lines[c:c + write_slots]
+                slots = rows.shape[0]
+                slot_ids = np.array([f"{t}," for t in range(first, first + slots)], dtype=object)
+                pieces = [None] * (3 * rows.size)
+                pieces[0::3] = np.repeat(slot_ids, num_chs).tolist()
+                pieces[1::3] = ch_ids * slots
+                pieces[2::3] = rows.ravel().tolist()
+                out.write("".join(pieces))

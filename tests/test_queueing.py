@@ -191,14 +191,18 @@ def _block_csv(trace):
 
 
 BLOCK = queueing._TRACE_BLOCK_SLOTS
+WRITE = queueing._TRACE_WRITE_SLOTS
 
 
 @pytest.mark.parametrize("clusters,slots,integer_service", [
+    (5, 2 * WRITE - 1, False),
+    (5, 2 * WRITE, False),
+    (5, 2 * WRITE + 1, False),
+    (1, BLOCK + 3, False),
+    (4, 2 * WRITE + 1, True),
     (5, BLOCK - 1, False),
     (5, BLOCK, False),
     (5, BLOCK + 1, False),
-    (1, 2 * BLOCK + 3, False),
-    (4, BLOCK + 1, True),
 ])
 def test_trace_csv_matches_per_row_writer(clusters, slots, integer_service):
     scenario = _scenario(seed=5, clusters=clusters, p=0.3)
@@ -209,28 +213,65 @@ def test_trace_csv_matches_per_row_writer(clusters, slots, integer_service):
     assert _block_csv(trace) == _per_row_csv(trace)
 
 
-# values where '.9g' changes form: subnormals, float dust, and both sides of
-# 1e-4 and 1e9, where it switches between fixed and exponent notation
-_EDGE_VALUES = [0.0, 5e-324, 2.2250738585072014e-308, 1.1e-15, 3e-16,
+# values where '.9g' changes form: subnormals, float dust, both sides of 1e-4
+# and 1e9, where it switches between fixed and exponent notation, -0.0, which
+# prints '-0', and the doubles around the 9-digit ties 1.000000005 and
+# 1234.567895, which round one way or the other
+_EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.1e-15, 3e-16,
                 np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), 9.99999999e-5, 9.999999995e-5,
                 999999999.0, 999999999.4, 999999999.5, np.nextafter(1e9, 0), 1e9,
-                np.nextafter(1e9, 2e9), 1e9 + 1, 1.5e300]
+                np.nextafter(1e9, 2e9), 1e9 + 1, 1.5e300,
+                np.nextafter(1.000000005, 0), 1.000000005, np.nextafter(1.000000005, 2),
+                np.nextafter(1234.567895, 0), 1234.567895, np.nextafter(1234.567895, 2e3)]
+
+
+_ANY_BACKLOG = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+    elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_EDGE_VALUES))
 
 
 @settings(deadline=None)
-@given(
-    backlog=hnp.arrays(
-        np.float64,
-        hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
-        elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
-        | st.sampled_from(_EDGE_VALUES),
-    ),
-    block=st.integers(min_value=1, max_value=5),
-)
+@given(backlog=_ANY_BACKLOG, block=st.integers(min_value=1, max_value=5))
 def test_trace_csv_matches_per_row_writer_on_any_backlog(backlog, block):
     trace = queueing.QueueTrace(backlog=backlog, horizon=backlog.shape[1] - 1, seed=0)
     with mock.patch.object(queueing, "_TRACE_BLOCK_SLOTS", block):
         assert _block_csv(trace) == _per_row_csv(trace)
+
+
+@settings(deadline=None)
+@given(backlog=_ANY_BACKLOG)
+def test_nine_digit_lines_format_every_value(backlog):
+    values = backlog.ravel()
+    assert queueing._nine_digit_lines(values).tolist() == [f"{x:.9g}\n" for x in values]
+
+
+def test_nine_digit_lines_split_a_group_whose_ends_differ():
+    # neighbouring doubles around the tie 55326.42745: the same 9-digit key,
+    # but the first prints 55326.4274 and the second 55326.4275
+    pair = [np.nextafter(55326.42745, 0), 55326.42745]
+    keys = queueing._nine_digit_keys(np.array(pair))
+    assert keys[0] == keys[1] and f"{pair[0]:.9g}" != f"{pair[1]:.9g}"
+    values = np.array(pair * 3 + [-0.0, 0.0, 0.0, -0.0, 1.5, 1.5])
+    lines = queueing._nine_digit_lines(values).tolist()
+    assert lines == [f"{x:.9g}\n" for x in values]
+    assert lines[6:10] == ["-0\n", "0\n", "0\n", "-0\n"]
+
+
+def test_trace_csv_mixes_both_block_paths():
+    # block 0 repeats a coarse grid, block 1 holds distinct random values
+    rng = np.random.default_rng(4)
+    slots = 2 * BLOCK + 7
+    backlog = rng.integers(0, 40, (3, slots)) / 10.0
+    backlog[:, :BLOCK] += rng.uniform(0.0, 1e-11, (3, BLOCK))  # roundoff-like noise
+    backlog[:, BLOCK:] = rng.uniform(0.0, 500.0, (3, slots - BLOCK))
+    trace = queueing.QueueTrace(backlog=backlog, horizon=slots - 1, seed=0)
+    assert queueing._repeat_share(backlog[:, :BLOCK].T) >= queueing._REPEAT_SHARE_MIN
+    assert queueing._repeat_share(backlog[:, BLOCK:2 * BLOCK].T) < queueing._REPEAT_SHARE_MIN
+    with mock.patch.object(queueing, "_nine_digit_lines",
+                           wraps=queueing._nine_digit_lines) as dedup:
+        assert _block_csv(trace) == _per_row_csv(trace)
+    assert dedup.call_count == 1
 
 
 # -- arrival draws: the vectorized inversion against numpy's own sampler --
