@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 
 _LN2 = math.log(2.0)
+# the SNR gap's log argument 5 * ber must stay below 1
+BER_MAX = 0.2
 
 
 class InfeasibleLinkError(ValueError):
@@ -15,10 +17,10 @@ class InfeasibleLinkError(ValueError):
 def snr_gap(ber: float) -> float:
     """SNR gap for M-QAM at target bit error rate: -1.5 / ln(5 * ber).
 
-    Only defined for ber < 0.2 (the log argument must stay below 1).
+    Only defined for ber < BER_MAX = 0.2 (the log argument must stay below 1).
     """
-    if not (0 < ber < 0.2):
-        raise ValueError(f"ber must be in (0, 0.2), got {ber}")
+    if not (0 < ber < BER_MAX):
+        raise ValueError(f"ber must be in (0, {BER_MAX}), got {ber}")
     return -1.5 / math.log(5.0 * ber)
 
 

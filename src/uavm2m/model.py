@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .channel import BER_MAX
+
 # Wavelength convention: lambda = C_LIGHT / carrier_hz with the usual
 # engineering value for the speed of light.
 C_LIGHT = 3.0e8
@@ -81,9 +83,9 @@ class RadioParams:
             raise ValueError(f"pmax_w must be finite and > 0, got {self.pmax_w}")
         if not 2 <= self.pathloss_exp < np.inf:
             raise ValueError(f"pathloss_exp must be finite and >= 2, got {self.pathloss_exp}")
-        # the SNR gap -1.5 / ln(5 * ber) is defined only below 0.2
-        if not (0 < self.ber_target < 0.2):
-            raise ValueError(f"ber_target must be in (0, 0.2), got {self.ber_target}")
+        # the range where channel.snr_gap is defined
+        if not (0 < self.ber_target < BER_MAX):
+            raise ValueError(f"ber_target must be in (0, {BER_MAX}), got {self.ber_target}")
         if not 0 < self.area_side < np.inf:
             raise ValueError(f"area_side must be finite and > 0, got {self.area_side}")
         if not 0 < self.slot_seconds < np.inf:

@@ -60,6 +60,8 @@ class QueueTrace:
     seed: int
 
     def __post_init__(self):
+        # the CSV writer reads the values' float64 bits
+        object.__setattr__(self, "backlog", np.asarray(self.backlog, dtype=np.float64))
         if self.backlog.shape[1] != self.horizon + 1:
             raise ValueError("backlog length must be horizon + 1")
         # min and max propagate NaN, which then fails both tests
@@ -234,16 +236,11 @@ def is_rate_stable(trace: QueueTrace, epsilon: float) -> bool:
     return bool(np.max(trace.final_rates()) < epsilon)
 
 
-# slots per block, the unit that is sampled, sorted and formatted once per
-# distinct string (~41k values at 20 CHs), and slots per write, which bounds
-# the row pieces and text held at once
+# slots per block, the unit that is sorted and formatted once per distinct
+# string (~41k values at 20 CHs), and slots per write, which bounds the row
+# pieces and text held at once
 _TRACE_BLOCK_SLOTS = 2048
 _TRACE_WRITE_SLOTS = 512
-# values per block read to estimate its repeat share, and the share of that
-# sample whose 9-digit key repeats at or above which formatting each distinct
-# string once beats formatting every value (measured break-even)
-_REPEAT_SAMPLE = 1024
-_REPEAT_SHARE_MIN = 0.2
 # 10**k for k in [-300, 308], indexed by k + 300
 _POW10 = 10.0 ** np.arange(-300.0, 309.0)
 
@@ -266,25 +263,22 @@ def _nine_digit_keys(x: np.ndarray) -> np.ndarray:
     return key
 
 
-def _repeat_share(block: np.ndarray) -> float:
-    """Share of a sample of a (slots, CHs) block, evenly spaced slots and all
-    CHs, whose 9-digit key repeats one already drawn."""
-    step = max(1, block.size // _REPEAT_SAMPLE)
-    keys = np.sort(_nine_digit_keys(block[::step].ravel()))
-    # np.unique would import numpy.ma, ~0.5 MB, on its first call
-    return np.count_nonzero(keys[1:] == keys[:-1]) / max(keys.size, 1)
+def _format_lines(x: np.ndarray) -> list[str]:
+    """`"%.9g\\n" % v` for each value, from one `%` call on a repeated template."""
+    return (("%.9g\n" * x.size) % tuple(x.tolist())).splitlines(keepends=True)
 
 
 def _nine_digit_lines(values: np.ndarray) -> np.ndarray:
-    """`f"{x:.9g}\\n"` for each value of a 1-D array, as an object array,
-    formatting each distinct string about once.
+    """`f"{x:.9g}\\n"` for each value of a 1-D float64 array, as an object
+    array, formatting each distinct string about once.
 
     The values are sorted by their bits, which for values >= 0 is their
     order, with every -0.0 before 0.0. Sorted neighbours with the same
-    `_nine_digit_keys` form a group; a group whose first and last values
-    print the same takes that string (see `write_trace_csv` for why), and
-    one whose ends differ is formatted value by value. The ends are compared
-    by their bits, because -0.0 == 0.0 but '%.9g' prints '-0' and '0'
+    `_nine_digit_keys` form a group. Each group's first value is formatted,
+    and its last where the bits differ; when the two strings agree, every
+    member takes that string (see `write_trace_csv` for why), and a group
+    whose ends differ is formatted value by value. The ends are compared by
+    their bits, because -0.0 == 0.0 but '%.9g' prints '-0' and '0'
     (`np.unique` would merge them). The keys only decide the grouping, never
     the text.
     """
@@ -292,17 +286,25 @@ def _nine_digit_lines(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values.view(np.int64))
     bits = values.view(np.int64)[order]
     starts = _group_starts(bits)
-    ends = np.append(starts[1:], n) - 1
+    ends = np.append(starts[1:], n)[:starts.size] - 1  # empty when values is
     x = bits.view(np.float64)
-    lines = ["%.9g\n" % v for v in x[starts].tolist()]
-    group = np.repeat(np.arange(starts.size), ends - starts + 1)
+    # each group's head is the value at its first sorted position; the heads
+    # are formatted in the order of those positions in `values`, so that the
+    # strings lie in memory about in the order the rows read them (formatted
+    # in value order, distinct values were written ~20% slower, from cache
+    # misses)
+    head = np.zeros(n, dtype=bool)
+    head[order[starts]] = True
+    lines = _format_lines(values[head])
+    line_of = np.cumsum(head)[order[starts]] - 1
+    group = np.repeat(line_of, ends - starts + 1)
     spans = np.flatnonzero(bits[starts] != bits[ends])
-    tops = ["%.9g\n" % v for v in x[ends[spans]].tolist()]
+    tops = _format_lines(x[ends[spans]])
     for k, top in zip(spans.tolist(), tops):
-        if top != lines[k]:
+        if top != lines[line_of[k]]:
             a, b = starts[k], ends[k] + 1
             group[a:b] = np.arange(len(lines), len(lines) + b - a)
-            lines.extend("%.9g\n" % v for v in x[a:b].tolist())
+            lines += _format_lines(x[a:b])
     rows = np.empty(n, dtype=np.intp)
     rows[order] = group
     return np.array(lines, dtype=object)[rows]
@@ -323,42 +325,30 @@ def write_trace_csv(trace: QueueTrace, out: IO[str]) -> None:
     """Emit `slot,ch_id,backlog` rows for the whole trace, slot-major, in
     blocks of `_TRACE_BLOCK_SLOTS` slots written `_TRACE_WRITE_SLOTS` at a time.
 
-    A block whose sampled values repeat often goes through
-    `_nine_digit_lines`, which formats each distinct 9-digit string once; its
-    rows are joined from the slot number, the CH id and that string. This is
-    exact because correctly rounded '%.9g' is monotone in x (Gay, "Correctly
-    rounded binary-decimal and decimal-binary conversions", 1990): for
-    lo <= x <= hi, round9(lo) <= round9(x) <= round9(hi), so when lo and hi
-    print the same, so does every x between them. Any other block is
-    formatted by one `%` call per write on a row template that holds the CH
-    ids as literals. '%.9g' and f'{x:.9g}' use the same float conversion, so
-    on either path the bytes equal a per-row f-string loop's.
+    Each block goes through `_nine_digit_lines`, which formats each distinct
+    9-digit string once; the rows are joined from the slot number, the CH id
+    and that string. This is exact because correctly rounded '%.9g' is
+    monotone in x (Gay, "Correctly rounded binary-decimal and decimal-binary
+    conversions", 1990): for lo <= x <= hi, round9(lo) <= round9(x) <=
+    round9(hi), so when lo and hi print the same, so does every x between
+    them. '%.9g' and f'{x:.9g}' use the same float conversion, so the bytes
+    equal a per-row f-string loop's.
     """
     out.write("slot,ch_id,backlog\n")
     num_chs = trace.num_chs
-    slot_rows = "".join(f"%d,{g},%.9g\n" for g in range(num_chs))
     ch_ids = [f"{g}," for g in range(num_chs)]
     block_slots, write_slots = _TRACE_BLOCK_SLOTS, _TRACE_WRITE_SLOTS
     for a in range(0, trace.horizon + 1, block_slots):
         block = trace.backlog[:, a:a + block_slots].T
-        lines = None
-        if _repeat_share(block) >= _REPEAT_SHARE_MIN:
-            lines = _nine_digit_lines(block.ravel()).reshape(block.shape)
+        lines = _nine_digit_lines(block.ravel()).reshape(block.shape)
         for c in range(0, block.shape[0], write_slots):
-            first = a + c
-            if lines is None:
-                rows = block[c:c + write_slots]
-                slots = rows.shape[0]
-                args = [None] * (2 * rows.size)
-                args[0::2] = np.repeat(np.arange(first, first + slots), num_chs).tolist()
-                args[1::2] = rows.ravel().tolist()
-                out.write((slot_rows * slots) % tuple(args))
-            else:
-                rows = lines[c:c + write_slots]
-                slots = rows.shape[0]
-                slot_ids = np.array([f"{t}," for t in range(first, first + slots)], dtype=object)
-                pieces = [None] * (3 * rows.size)
-                pieces[0::3] = np.repeat(slot_ids, num_chs).tolist()
-                pieces[1::3] = ch_ids * slots
-                pieces[2::3] = rows.ravel().tolist()
-                out.write("".join(pieces))
+            rows = lines[c:c + write_slots]
+            # per row: slot number, CH id, value string; made per write, as a
+            # buffer reused across writes raised peak memory ~5 MB over
+            # repeated exports in one process
+            pieces = np.empty((*rows.shape, 3), dtype=object)
+            pieces[:, :, 0] = np.array([f"{t}," for t in range(a + c, a + c + rows.shape[0])],
+                                       dtype=object)[:, None]
+            pieces[:, :, 1] = ch_ids
+            pieces[:, :, 2] = rows
+            out.write("".join(pieces.ravel().tolist()))

@@ -203,14 +203,21 @@ def test_radio_params_hold_the_range_checks():
     (2, "carrier_hz = 0.0", "carrier_hz"),
     (3, "rb_bandwidth_hz = -15000.0", "rb_bandwidth_hz"),
     (7, "packet_bits = inf", "packet_bits"),
-    (6, "ber_target = 0.5", "ber_target"),
 ])
 def test_unusable_radio_value_names_its_line(lineno, row, field):
     # each used to load and fail later in the pipeline with a traceback
     lines = list(_MINIMAL_LINES)
     lines[lineno - 1] = row
-    bound = r"in \(0, 0\.2\)" if field == "ber_target" else "finite and > 0"
-    with pytest.raises(ScenarioFormatError, match=f"^line {lineno}: {field} must be {bound}"):
+    with pytest.raises(ScenarioFormatError, match=f"^line {lineno}: {field} must be finite and > 0"):
+        load_scenario("\n".join(lines))
+
+
+def test_ber_target_outside_the_snr_gap_domain_names_its_line():
+    # it used to load and fail later in channel.snr_gap with a traceback
+    lines = list(_MINIMAL_LINES)
+    lines[5] = "ber_target = 0.5"
+    with pytest.raises(ScenarioFormatError,
+                       match=r"^line 6: ber_target must be in \(0, 0\.2\), got 0\.5$"):
         load_scenario("\n".join(lines))
 
 

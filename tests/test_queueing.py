@@ -258,7 +258,16 @@ def test_nine_digit_lines_split_a_group_whose_ends_differ():
     assert lines[6:10] == ["-0\n", "0\n", "0\n", "-0\n"]
 
 
-def test_trace_csv_mixes_both_block_paths():
+def test_nine_digit_lines_format_a_group_whose_ends_agree_once():
+    # 1.5 and the next double both print 1.5: one string serves the group,
+    # also when another group's value comes first in the array
+    values = np.array([2.0, 1.5, np.nextafter(1.5, 2), 2.0, 1.5])
+    lines = queueing._nine_digit_lines(values)
+    assert lines.tolist() == ["2\n", "1.5\n", "1.5\n", "2\n", "1.5\n"]
+    assert lines[1] is lines[2] is lines[4] and lines[0] is lines[3]
+
+
+def test_trace_csv_on_a_repeat_rich_and_a_repeat_poor_block():
     # block 0 repeats a coarse grid, block 1 holds distinct random values
     rng = np.random.default_rng(4)
     slots = 2 * BLOCK + 7
@@ -266,12 +275,22 @@ def test_trace_csv_mixes_both_block_paths():
     backlog[:, :BLOCK] += rng.uniform(0.0, 1e-11, (3, BLOCK))  # roundoff-like noise
     backlog[:, BLOCK:] = rng.uniform(0.0, 500.0, (3, slots - BLOCK))
     trace = queueing.QueueTrace(backlog=backlog, horizon=slots - 1, seed=0)
-    assert queueing._repeat_share(backlog[:, :BLOCK].T) >= queueing._REPEAT_SHARE_MIN
-    assert queueing._repeat_share(backlog[:, BLOCK:2 * BLOCK].T) < queueing._REPEAT_SHARE_MIN
-    with mock.patch.object(queueing, "_nine_digit_lines",
-                           wraps=queueing._nine_digit_lines) as dedup:
-        assert _block_csv(trace) == _per_row_csv(trace)
-    assert dedup.call_count == 1
+    distinct = [len({f"{x:.9g}" for x in backlog[:, a:a + BLOCK].ravel()}) for a in (0, BLOCK)]
+    assert distinct[0] < 3 * BLOCK // 10 and distinct[1] == 3 * BLOCK
+    assert _block_csv(trace) == _per_row_csv(trace)
+
+
+def test_trace_csv_formats_an_integer_backlog_as_floats():
+    backlog = np.array([[0, 3, 7], [1, 0, 12]])
+    trace = queueing.QueueTrace(backlog=backlog, horizon=2, seed=0)
+    assert trace.backlog.dtype == np.float64
+    assert _block_csv(trace) == _per_row_csv(trace)
+    assert _block_csv(trace).splitlines()[1:3] == ["0,0,0", "0,1,1"]
+
+
+def test_trace_csv_of_no_chs_is_the_header():
+    trace = queueing.QueueTrace(backlog=np.zeros((0, 3)), horizon=2, seed=0)
+    assert _block_csv(trace) == "slot,ch_id,backlog\n"
 
 
 # -- arrival draws: the vectorized inversion against numpy's own sampler --
