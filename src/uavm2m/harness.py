@@ -113,18 +113,16 @@ def run_pipeline(
     fleet = _fleet_for(scenario, u_min, seed)
     inst = build_instance(scenario, plan, fleet)
 
-    kkt_objective = None
-    kkt_point = None
+    # the routes `solver` names, reduced first; the first gives `continuous`
+    continuous = kkt_objective = kkt_point = None
     try:
-        if solver in ("reduced", "both"):
+        if solver != "kkt":
             continuous = raopt.solve_reduced(inst)
-            if solver == "both":
-                kkt_sol, kkt_point = raopt.solve_kkt(inst)
-                kkt_objective = kkt_sol.objective
-        else:
+        if solver != "reduced":
             kkt_sol, kkt_point = raopt.solve_kkt(inst)
-            continuous = kkt_sol
             kkt_objective = kkt_sol.objective
+            if continuous is None:
+                continuous = kkt_sol
     except (raopt.InfeasibleInstanceError, raopt.SolverConvergenceError) as exc:
         raise RuntimeError(f"resource-allocation stage failed: {exc}") from exc
     try:

@@ -62,7 +62,8 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
           jacobian: Callable[[np.ndarray], np.ndarray],
           done: Callable[[np.ndarray, np.ndarray], bool] = _small_residual) -> LmaResult:
     """Minimize ||residual_fn(x)||^2 from x0, with `jacobian(x)` the
-    Jacobian of the residual; returns the best point found.
+    Jacobian of the residual; returns the last accepted point, the best
+    found, since a step is accepted only when it strictly lowers ||r||^2.
 
     `done(x, r)` is the stop test, asked at x0 and at every accepted point
     with its residual r; by default ||r|| <= 1e-10. An accepted step shorter
@@ -80,9 +81,7 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
 
     lam = _DAMPING_INIT
     cost = float(r @ r)
-    norm = float(np.sqrt(cost))
     accepted = [cost]
-    best_x, best_norm = x.copy(), norm
     converged = bool(done(x, r))
     iters = 0
 
@@ -90,7 +89,7 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
         iters += 1
         jac = np.asarray(jacobian(x), dtype=float)
         if not np.all(np.isfinite(jac)):
-            break  # cannot build a step from here; report best point so far
+            break  # cannot build a step from here; report the point so far
         jtj = jac.T @ jac
         jtr = jac.T @ r
         eye = np.eye(x.size)
@@ -117,12 +116,9 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
         if step is None:
             break  # no descent step available at any damping
 
-        norm = float(np.sqrt(cost))
         accepted.append(cost)
-        if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
         if done(x, r) or float(np.linalg.norm(step)) <= _STEP_TOL:
             converged = True
 
-    return LmaResult(solution=best_x, residual_norm=best_norm, iterations=iters,
+    return LmaResult(solution=x, residual_norm=float(np.sqrt(cost)), iterations=iters,
                      converged=converged, accepted_costs=accepted)

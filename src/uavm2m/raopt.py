@@ -15,9 +15,10 @@ Three independent routes are provided and cross-checked against each other:
   with Levenberg-Marquardt on its reduced unknowns: per serving UAV the RB
   count, held above its cap floor so that no iterate breaks a power cap,
   one multiplier per link cap and the budget multiplier. LM runs once, from
-  a warm start with the cap multipliers below tolerance, and stops where
-  the point would pass its final checks (`KktSystem.accepts`), in ~3
-  iterations on 5-10 cluster plans and at paper scale.
+  the warm start that `KktSystem` builds (`KktSystem.start`, the cap
+  multipliers below tolerance), and stops where the point would pass its
+  final checks (`KktSystem.accepts`), in ~3 iterations on 5-10 cluster
+  plans and at paper scale.
 * `solve_reduced` - eliminates powers through the tight delivery constraint
   and minimizes the remaining separable convex function of z by bisecting on
   the shared multiplier that equalizes per-UAV marginal costs, solving for
@@ -35,7 +36,9 @@ every point it returns against the scalar `kkt_residuals`, whose
 `rb_term_derivative` and `channel.required_power` take the same forms on
 their own; the two routes stay independent because they solve different
 systems (the KKT conditions against an equal-marginal search). Both
-decide feasibility the same way, from the per-UAV cap floors.
+decide feasibility the same way, from the per-UAV cap floors. Every route
+turns the serving UAVs' RB counts into its solution in `_solution`, which
+puts the whole budget at UAV 0, at zero power, when no link is served.
 """
 
 from __future__ import annotations
@@ -263,6 +266,18 @@ def _powers_for(inst: RaInstance, z: np.ndarray) -> np.ndarray:
     return power
 
 
+def _solution(inst: RaInstance, z_serving: np.ndarray) -> RaSolution:
+    """z_serving blocks at the serving UAVs (`links.uavs` order) at tight
+    delivery powers; with no served link, all Z blocks at UAV 0."""
+    z = np.zeros(inst.num_uavs)
+    if len(inst.links.ch):
+        z[inst.links.uavs] = z_serving
+    else:
+        z[0] = inst.total_rbs
+    power = _powers_for(inst, z)
+    return RaSolution(z=z, power=power, objective=objective_value(inst, power))
+
+
 # ---------------------------------------------------------------------------
 # optimality system
 # ---------------------------------------------------------------------------
@@ -325,18 +340,6 @@ def max_feasibility_violation(inst: RaInstance, point: KktPoint) -> float:
     worst = max(worst, sum(float(point.z[u]) for u in uavs) - inst.total_rbs)
     worst = max(worst, -point.lam_budget)
     return float(worst)
-
-
-def _trivial_solution(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
-    # nothing to serve: split the budget evenly, no power spent
-    z = np.full(inst.num_uavs, inst.total_rbs / inst.num_uavs)
-    power = np.zeros((inst.num_chs, inst.num_uavs))
-    point = KktPoint(
-        z=z, power=power, lam_pmax=np.zeros((inst.num_chs, inst.num_uavs)),
-        lam_budget=0.0, lam_rate=np.zeros((inst.num_chs, inst.num_uavs)),
-        residuals=np.zeros(0),
-    )
-    return RaSolution(z=z, power=power, objective=0.0), point
 
 
 @np.errstate(over="ignore")
@@ -403,18 +406,31 @@ class KktSystem:
     P = `LinkView.power(z)` and lam_rate = dwell + lam_pmax, which `decode`
     fills in. The rows are rows 1, 2 and 4 of `kkt_residuals` (link cap,
     budget, RB stationarity), row k divided by `row_scale[k]`; the
-    RB-stationarity rows are normalized at the RB counts of `center`.
+    RB-stationarity rows are normalized at the warm start `start`, built here.
     Scaling rows and unknowns by positive constants leaves the roots unchanged.
     """
 
-    def __init__(self, inst: RaInstance, center: KktPoint):
+    def __init__(self, inst: RaInstance):
         links = self.links = inst.links
         self.inst = inst
         self.big_z = float(inst.total_rbs)
         self.floors = inst.cap_floors
-        self.rho, self.sigma_mult = _row_scales(inst, center.z[links.uavs])
         n_u, n_p = len(links.uavs), len(links.ch)
         self.size = n_u + n_p + 1
+        # warm start: each serving UAV at its cap floor plus a share of the
+        # spare blocks proportional to sqrt(K) (cost ~ const + K/z at small
+        # exponents, so equal marginals), the budget multiplier at sigma_mult
+        # (the median RB-stationarity row there) and the cap multipliers, slack
+        # at a typical optimum, at 1e-16: the scaled residual is O(1) and the
+        # slack caps' rows s**2 * g start below tolerance; at 1e-6 their double
+        # root at s = 0 lets LM only halve s per step, ~12 iterations, not ~3
+        spare = max(self.big_z - self.floors.sum(), 0.0)
+        root_k = np.sqrt(np.maximum(links.per_uav(
+            (links.weight + 1e-6) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300))
+        z0 = self.floors + spare * root_k / root_k.sum()
+        self.rho, self.sigma_mult = _row_scales(inst, z0)
+        self.start = np.concatenate([np.sqrt(np.maximum(z0 - self.floors, 0.0) / self.big_z),
+                                     np.full(n_p, np.sqrt(1e-16)), [1.0]])
         self.row_scale = np.concatenate([
             np.full(n_p, inst.pmax), [self.sigma_mult * self.big_z], self.rho])
         # the Jacobian's nonzeros as one flat index, in the order `jacobian`
@@ -495,57 +511,18 @@ class KktSystem:
     def decode(self, x: np.ndarray) -> KktPoint:
         _, s_pmax, s_budget, z_serving = self._split(x)
         links, inst = self.links, self.inst
-        z = np.zeros(inst.num_uavs)
-        z[links.uavs] = z_serving
-        lam_pmax = np.zeros((inst.num_chs, inst.num_uavs))
+        sol = _solution(inst, z_serving)
+        lam_pmax = np.zeros_like(sol.power)
         lam_pmax[links.ch, links.uav] = s_pmax**2
-        return KktPoint(z=z, power=_powers_for(inst, z), lam_pmax=lam_pmax,
+        return KktPoint(z=sol.z, power=sol.power, lam_pmax=lam_pmax,
                         lam_budget=self.sigma_mult * s_budget**2,
                         lam_rate=inst.dwell.entries.T + lam_pmax)
-
-    def encode(self, point: KktPoint) -> np.ndarray:
-        links = self.links
-        return np.concatenate([
-            np.sqrt(np.maximum(point.z[links.uavs] - self.floors, 0.0) / self.big_z),
-            np.sqrt(np.maximum(point.lam_pmax[links.ch, links.uav], 0.0)),
-            [math.sqrt(max(point.lam_budget, 0.0) / self.sigma_mult)],
-        ])
-
-
-def _kkt_start(inst: RaInstance) -> KktPoint:
-    """The start point of `solve_kkt`: every serving UAV at its cap floor
-    plus a share of the blocks the floors leave over, so it keeps the power
-    caps, with the share of a small-exponent approximation.
-
-    The budget multiplier sits at sigma, the median size of the
-    RB-stationarity rows there (`_row_scales`), and the link power cap
-    multipliers, slack at a typical optimum, at 1e-16. Every entry of the
-    scaled residual is then O(1), and the complementarity rows s**2 * g of
-    the slack caps start below tolerance. At 1e-6 those rows gate
-    convergence: their double root at s = 0 lets LM only halve s per step,
-    ~12 iterations instead of ~3."""
-    links = inst.links
-    floors = inst.cap_floors
-    spare = max(float(inst.total_rbs) - floors.sum(), 0.0)
-    # small-exponent approximation: per-UAV cost ~ const + K/z, so equalized
-    # marginal costs put z proportional to sqrt(K); a strong warm start
-    # whenever packets are far from saturating their links
-    k_load = np.maximum(
-        links.per_uav((links.weight + 1e-6) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300)
-    z_serving = floors + spare * np.sqrt(k_load) / np.sum(np.sqrt(k_load))
-    z = np.zeros(inst.num_uavs)
-    z[links.uavs] = z_serving
-    lam_pmax = np.zeros((inst.num_chs, inst.num_uavs))
-    lam_pmax[links.ch, links.uav] = 1e-16
-    return KktPoint(z=z, power=_powers_for(inst, z), lam_pmax=lam_pmax,
-                    lam_budget=_row_scales(inst, z_serving)[1],
-                    lam_rate=inst.dwell.entries.T + lam_pmax)
 
 
 def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     """Solve the optimality system by Levenberg-Marquardt root finding.
 
-    Runs LM once from `_kkt_start`, on the unknowns of `KktSystem` with its
+    Runs LM once from `KktSystem.start`, on the system's unknowns with its
     analytic Jacobian and its stop test `accepts`, and returns the point it
     reaches only if `accepts` holds there and the point passes the scalar
     checks ||kkt_residuals|| <= 1e-8 and feasibility within 1e-9; else a
@@ -554,10 +531,12 @@ def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     decided by the cap floors as in `solve_reduced`.
     """
     if not len(inst.links.ch):
-        return _trivial_solution(inst)
-    start = _kkt_start(inst)
-    system = KktSystem(inst, start)
-    result = lma.solve(system.residual, system.encode(start),
+        sol = _solution(inst, np.zeros(0))
+        return sol, KktPoint(z=sol.z, power=sol.power, lam_pmax=np.zeros_like(sol.power),
+                             lam_budget=0.0, lam_rate=np.zeros_like(sol.power),
+                             residuals=np.zeros(0))
+    system = KktSystem(inst)
+    result = lma.solve(system.residual, system.start,
                        jacobian=system.jacobian, done=system.accepts)
     x = result.solution
     point = system.decode(x)
@@ -571,8 +550,7 @@ def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
                   ("feasibility violation", worst, 1e-9) if not worst <= 1e-9 else None)
     if failed is not None:
         raise SolverConvergenceError(*failed)
-    return RaSolution(z=point.z.copy(), power=point.power.copy(),
-                      objective=objective_value(inst, point.power)), point
+    return _solution(inst, point.z[inst.links.uavs]), point
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +600,7 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
     """
     links = inst.links
     if not len(links.ch):
-        return _trivial_solution(inst)[0]
+        return _solution(inst, np.zeros(0))
     big_z = float(inst.total_rbs)
     floors = inst.cap_floors
     z_full = np.full_like(floors, big_z)
@@ -644,33 +622,18 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
     # the bisection ends at adjacent levels; the last rounding-level gap to
     # the budget goes to the largest allocation
     z_serving[np.argmax(z_serving)] += big_z - z_serving.sum()
-
-    z = np.zeros(inst.num_uavs)
-    z[links.uavs] = z_serving
-    power = _powers_for(inst, z)
-    if np.any(power > inst.pmax * (1 + 1e-9)):
-        g, u = np.unravel_index(int(np.argmax(power)), power.shape)
+    sol = _solution(inst, z_serving)
+    if np.any(sol.power > inst.pmax * (1 + 1e-9)):
+        g, u = np.unravel_index(int(np.argmax(sol.power)), sol.power.shape)
         raise InfeasibleInstanceError(
             f"link (ch={g}, uav={u}) exceeds the power cap at the optimum",
             ch=int(g), uav=int(u))
-    return RaSolution(z=z, power=power, objective=objective_value(inst, power))
+    return sol
 
 
 # ---------------------------------------------------------------------------
 # integer recovery and enumeration oracle
 # ---------------------------------------------------------------------------
-
-def _integral_solution(inst: RaInstance, z_serving: np.ndarray) -> RaSolution:
-    """z_serving blocks at the serving UAVs; with no served link the whole
-    budget sits at UAV 0."""
-    z = np.zeros(inst.num_uavs)
-    if len(inst.links.ch):
-        z[inst.links.uavs] = z_serving
-    else:
-        z[0] = inst.total_rbs
-    power = _powers_for(inst, z)
-    return RaSolution(z=z, power=power, objective=objective_value(inst, power))
-
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def round_rbs(sol: RaSolution, inst: RaInstance) -> RaSolution:
@@ -683,7 +646,7 @@ def round_rbs(sol: RaSolution, inst: RaInstance) -> RaSolution:
     links = inst.links
     big_z = inst.total_rbs
     if not len(links.ch):
-        return _integral_solution(inst, np.zeros(0))
+        return _solution(inst, np.zeros(0))
     if len(links.uavs) > big_z:
         raise InfeasibleInstanceError(
             f"{len(links.uavs)} serving UAVs cannot each get a resource block out of {big_z}")
@@ -697,7 +660,7 @@ def round_rbs(sol: RaSolution, inst: RaInstance) -> RaSolution:
         drop = np.where(z < big_z, links.cost(z) - links.cost(z + 1), -np.inf)
         z[np.argmax(drop)] += 1
 
-    rounded = _integral_solution(inst, z)
+    rounded = _solution(inst, z)
     if np.any(rounded.power > inst.pmax * (1 + 1e-12)):
         g, u = np.unravel_index(int(np.argmax(rounded.power)), rounded.power.shape)
         raise InfeasibleInstanceError(
@@ -716,7 +679,7 @@ def brute_force(inst: RaInstance) -> RaSolution:
     big_z = inst.total_rbs
     n = len(links.uavs)
     if not n:
-        return _integral_solution(inst, np.zeros(0))
+        return _solution(inst, np.zeros(0))
     if big_z > 16 or n > 4:
         raise ValueError(
             f"enumeration bound exceeded: Z={big_z} (max 16), "
@@ -729,7 +692,7 @@ def brute_force(inst: RaInstance) -> RaSolution:
     if not np.any(capped):
         raise InfeasibleInstanceError("no integer allocation satisfies the power cap")
     objective = np.where(capped, power @ links.weight, np.inf)
-    return _integral_solution(inst, combos[np.argmin(objective)])
+    return _solution(inst, combos[np.argmin(objective)])
 
 
 def write_solution_csv(sol: RaSolution, inst: RaInstance, out) -> None:

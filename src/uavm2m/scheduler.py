@@ -127,8 +127,10 @@ def plan_min_fleet(
         raise ValueError(f"slack_target must be >= 0, got {slack_target}")
     total = float((rates + np.where(rates > 0, slack_target, 0.0)).sum()) / mu
     u = max(1, math.ceil(total - _FEAS_EPS))
-    # the ceil already matches the greedy fill's feasibility rule; keep the
-    # search form so the two can never drift apart on float edge cases
+    # the ceil is a first guess that `find_dwell` rejects in 88 of 800
+    # generated cells (seeds 0-199 x 5/10/15/20 clusters): float dust in the
+    # demand (seed 0, 10 clusters: 4.000000000000001) spills past UAV u - 1,
+    # and this loop adds the excess UAV
     while (plan := find_dwell(rates, u, mu, slack_target)) is None:
         u += 1
     return plan

@@ -156,11 +156,10 @@ def _kkt_iterates(instances):
     """(system, x) at the start of `solve_kkt` and at the final LM iterate
     from it, on each instance."""
     for inst in instances:
-        start = raopt._kkt_start(inst)
-        system = raopt.KktSystem(inst, start)
-        x0 = system.encode(start)
-        yield system, x0
-        yield system, lma.solve(system.residual, x0, jacobian=system.jacobian).solution
+        system = raopt.KktSystem(inst)
+        yield system, system.start
+        yield system, lma.solve(system.residual, system.start,
+                                jacobian=system.jacobian).solution
 
 
 def _kkt_fixtures(rng):
@@ -471,14 +470,20 @@ def test_rb_term_derivative_is_minus_inf_past_the_float_range():
         assert raopt.rb_term_derivative(a / ln2, 1.0) == -math.inf
 
 
-def test_no_served_chs_degenerates_to_even_split():
-    dwell = DwellMatrix(entries=np.zeros((1, 2)))
+@pytest.mark.parametrize("uavs", [1, 2, 3])
+def test_no_served_chs_put_the_whole_budget_at_uav_0(uavs):
+    # zero dwell everywhere: every route, continuous and integral, gives all
+    # Z blocks to UAV 0 at zero power
+    dwell = DwellMatrix(entries=np.zeros((uavs, 2)))
     inst = raopt.RaInstance(
-        dwell=dwell, gains=np.full((2, 1), 1e-12), packet_bits=100.0,
+        dwell=dwell, gains=np.full((2, uavs), 1e-12), packet_bits=100.0,
         rb_bandwidth=15e3, total_rbs=6, noise_psd=1e-20, beta=BETA, pmax=1.0)
-    sol, point = raopt.solve_kkt(inst)
-    assert sol.z[0] == 6.0 and sol.objective == 0.0
-    assert raopt.solve_reduced(inst).objective == 0.0
+    kkt_sol, point = raopt.solve_kkt(inst)
+    reduced = raopt.solve_reduced(inst)
+    for sol in (reduced, kkt_sol, raopt.round_rbs(reduced, inst), raopt.brute_force(inst)):
+        assert sol.z.tolist() == [6.0] + [0.0] * (uavs - 1)
+        assert np.all(sol.power == 0) and sol.objective == 0.0
+    assert raopt.max_feasibility_violation(inst, point) <= 0
 
 
 def test_instance_validation():
@@ -632,11 +637,18 @@ def test_reduced_matches_cold_start_bisection(rng):
 
 def test_kkt_warm_start_residual_is_order_one(rng):
     # the warm start's multipliers sit at the sizes of the rows they enter,
-    # so LM starts from a scaled residual of O(1), not ~4e2 in the cap rows
+    # so LM starts from a scaled residual of O(1), not ~4e2 in the cap rows:
+    # the budget multiplier at the median row size, every cap multiplier at
+    # 1e-16, and the RB counts above the cap floors, spending the budget
     for inst in [split_ch_instance(), *(random_instance(rng) for _ in range(30))]:
-        start = raopt._kkt_start(inst)
-        system = raopt.KktSystem(inst, start)
-        assert np.abs(system.residual(system.encode(start))).max() <= 1.0
+        system = raopt.KktSystem(inst)
+        assert np.abs(system.residual(system.start)).max() <= 1.0
+        links = inst.links
+        point = system.decode(system.start)
+        assert point.lam_budget == system.sigma_mult
+        assert np.all(np.abs(point.lam_pmax[links.ch, links.uav] - 1e-16) <= 1e-30)
+        assert np.all(point.z[links.uavs] >= inst.cap_floors)
+        assert point.z.sum() == pytest.approx(inst.total_rbs, abs=1e-12)
 
 
 def test_kkt_start_and_end_keep_every_cap(rng):
