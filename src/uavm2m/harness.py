@@ -31,7 +31,7 @@ class PipelineResult:
     fleet: UavFleet
     instance: raopt.RaInstance
     continuous: raopt.RaSolution
-    rounded: raopt.RaSolution | None  # None when `round_rbs` fails, e.g. u_min > RB budget
+    rounded: raopt.RaSolution | None  # None when whole-block cap floors exceed Z
     # from the continuous optimum: time-averaged transmit power per served CH
     avg_power_w: float
     # from the continuous optimum: objective * slot duration
@@ -126,10 +126,10 @@ def run_pipeline(
     except (raopt.InfeasibleInstanceError, raopt.SolverConvergenceError) as exc:
         raise RuntimeError(f"resource-allocation stage failed: {exc}") from exc
     try:
-        rounded = raopt.round_rbs(continuous, inst)
+        rounded = raopt.round_rbs(inst)
     except raopt.InfeasibleInstanceError:
-        # more serving UAVs than whole blocks (or a cap broken by flooring):
-        # the fractional allocation stands on its own
+        # the whole-block cap floors exceed Z, as with more serving UAVs than
+        # blocks: the fractional allocation stands on its own
         rounded = None
 
     return PipelineResult(

@@ -26,7 +26,11 @@ Three independent routes are provided and cross-checked against each other:
   from the allocations at the two levels bracketing the multiplier; each
   Newton step reads the marginal cost and its curvature from one pass over
   the links (`LinkView.slopes`).
-* `brute_force` - exact enumeration over integer allocations (small sizes).
+* `brute_force` - exact enumeration over integer allocations (small sizes),
+  the oracle for `round_rbs`: marginal allocation from the whole-block cap
+  floors, exact because the cost is separable and convex in each UAV's
+  integer z (Fox, "Discrete optimization via marginal analysis",
+  Management Science 13, 1966); it reads no continuous solution.
 
 All routes read `RaInstance.links`, one array view of the served links
 (`LinkView`), whose `power` and `link_slopes` are the one per-link kernel
@@ -635,38 +639,22 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
 # integer recovery and enumeration oracle
 # ---------------------------------------------------------------------------
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def round_rbs(sol: RaSolution, inst: RaInstance) -> RaSolution:
-    """Recover an integer allocation from a continuous solution.
-
-    Floors each serving UAV's count (at least 1), then hands out the
-    remaining blocks one at a time to the UAV whose cost drops the most
-    (ties to the lower UAV id). Fails if the result breaks the power cap.
-    """
+def round_rbs(inst: RaInstance) -> RaSolution:
+    """The optimal integer allocation: each serving UAV starts at its cap
+    floor rounded up, the fewest whole blocks (at least 1) within pmax, and
+    each spare block goes to the UAV whose cost drops the most (ties to the
+    lower UAV id). Fails only when those starts exceed Z."""
     links = inst.links
-    big_z = inst.total_rbs
     if not len(links.ch):
         return _solution(inst, np.zeros(0))
-    if len(links.uavs) > big_z:
+    z = np.ceil(inst.cap_floors)
+    if z.sum() > inst.total_rbs:
         raise InfeasibleInstanceError(
-            f"{len(links.uavs)} serving UAVs cannot each get a resource block out of {big_z}")
-
-    z = np.clip(np.floor(sol.z[links.uavs] + 1e-9), 1, big_z)
-    # flooring plus the >=1 bump can overshoot the budget; undo the cheapest
-    while z.sum() > big_z:
-        rise = np.where(z > 1, links.cost(z - 1) - links.cost(z), np.inf)
-        z[np.argmin(rise)] -= 1
-    for _ in range(int(big_z - z.sum())):
-        drop = np.where(z < big_z, links.cost(z) - links.cost(z + 1), -np.inf)
-        z[np.argmax(drop)] += 1
-
-    rounded = _solution(inst, z)
-    if np.any(rounded.power > inst.pmax * (1 + 1e-12)):
-        g, u = np.unravel_index(int(np.argmax(rounded.power)), rounded.power.shape)
-        raise InfeasibleInstanceError(
-            f"rounding pushes link (ch={g}, uav={u}) above the power cap",
-            ch=int(g), uav=int(u))
-    return rounded
+            f"whole-block cap floors sum to {z.sum():.0f} > {inst.total_rbs} resource blocks",
+            uav=int(links.uavs[np.argmax(z)]))
+    for _ in range(int(inst.total_rbs - z.sum())):
+        z[np.argmax(links.cost(z) - links.cost(z + 1))] += 1
+    return _solution(inst, z)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -139,7 +139,7 @@ def test_criterion_5_oracle_equivalence():
         exact = raopt.brute_force(inst)
         if cont.objective <= exact.objective * (1 + 1e-9):
             bound_ok += 1
-        rounded = raopt.round_rbs(cont, inst)
+        rounded = raopt.round_rbs(inst)
         worst_round_gap = max(worst_round_gap,
                               rounded.objective / exact.objective - 1.0)
     elapsed = time.monotonic() - start

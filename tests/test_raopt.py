@@ -321,63 +321,61 @@ def test_objective_decreases_with_budget(rng):
         assert raopt.solve_reduced(richer).objective <= raopt.solve_reduced(inst).objective
 
 
-def test_round_keeps_integral_solution():
-    dwell = DwellMatrix(entries=np.array([[0.6, 0.0], [0.0, 0.6]]))
-    gain = channel.path_gain(500.0, WAVELENGTH, 2.5)
-    inst = raopt.RaInstance(
-        dwell=dwell, gains=np.full((2, 2), gain), packet_bits=100.0,
-        rb_bandwidth=15e3, total_rbs=12, noise_psd=1e-20, beta=BETA, pmax=1.0)
-    cont = raopt.RaSolution(z=np.array([3.0, 9.0]),
-                            power=raopt._powers_for(inst, np.array([3.0, 9.0])),
-                            objective=0.0)
-    rounded = raopt.round_rbs(cont, inst)
-    assert np.array_equal(rounded.z, [3.0, 9.0])
-
-
-def test_round_picks_cheaper_neighbor():
-    gain = channel.path_gain(500.0, WAVELENGTH, 2.5)
-    for d0, d1 in [(0.6, 0.6), (0.9, 0.2), (0.2, 0.9)]:
-        dwell = DwellMatrix(entries=np.array([[d0, 0.0], [0.0, d1]]))
-        inst = raopt.RaInstance(
-            dwell=dwell, gains=np.full((2, 2), gain), packet_bits=100.0,
-            rb_bandwidth=15e3, total_rbs=12, noise_psd=1e-20, beta=BETA, pmax=1.0)
-        cont = raopt.RaSolution(z=np.array([3.5, 8.5]),
-                                power=raopt._powers_for(inst, np.array([3.5, 8.5])),
-                                objective=0.0)
-        rounded = raopt.round_rbs(cont, inst)
-        cand = {}
-        for z_try in ([4.0, 8.0], [3.0, 9.0]):
-            p = raopt._powers_for(inst, np.array(z_try))
-            cand[tuple(z_try)] = raopt.objective_value(inst, p)
-        best = min(sorted(cand), key=lambda k: cand[k])
-        assert tuple(rounded.z) == best
-        assert rounded.objective == pytest.approx(cand[best], rel=1e-12)
-
-
 def test_round_symmetric_tie_prefers_lower_uav():
     gain = channel.path_gain(500.0, WAVELENGTH, 2.5)
     dwell = DwellMatrix(entries=np.array([[0.6, 0.0], [0.0, 0.6]]))
     inst = raopt.RaInstance(
         dwell=dwell, gains=np.full((2, 2), gain), packet_bits=100.0,
         rb_bandwidth=15e3, total_rbs=11, noise_psd=1e-20, beta=BETA, pmax=1.0)
-    cont = raopt.RaSolution(z=np.array([5.5, 5.5]),
-                            power=raopt._powers_for(inst, np.array([5.5, 5.5])),
-                            objective=0.0)
-    rounded = raopt.round_rbs(cont, inst)
+    rounded = raopt.round_rbs(inst)
     assert np.array_equal(rounded.z, [6.0, 5.0])
 
 
-def test_round_respects_budget_with_fractional_counts(rng):
-    for _ in range(20):
-        inst = random_instance(rng, max_uavs=3, max_rbs=8)
-        cont = raopt.solve_reduced(inst)
-        if len(inst.active_uavs()) > inst.total_rbs:
-            continue
-        rounded = raopt.round_rbs(cont, inst)
-        assert rounded.z.sum() <= inst.total_rbs + 1e-12
-        active = inst.active_uavs()
-        assert all(rounded.z[u] >= 1 for u in active)
-        assert rounded.objective >= cont.objective - 1e-12 * abs(cont.objective)
+def test_round_equals_brute_force_on_slack_and_binding_caps(rng):
+    # marginal allocation from the whole-block cap floors is exact: it gives
+    # the enumeration's allocation, binding caps included, and raises only
+    # where no integer allocation meets the caps
+    slack = [split_ch_instance()]
+    slack += [random_instance(rng, max_uavs=4, max_rbs=16) for _ in range(200)]
+    solved = {False: 0, True: 0}
+    for base in slack:
+        for capped, inst in ((False, base), (True, _binding_cap(base))):
+            try:
+                exact = raopt.brute_force(inst)
+            except raopt.InfeasibleInstanceError:
+                with pytest.raises(raopt.InfeasibleInstanceError):
+                    raopt.round_rbs(inst)
+                continue
+            rounded = raopt.round_rbs(inst)
+            assert np.array_equal(rounded.z, exact.z)
+            assert rounded.objective == exact.objective
+            solved[capped] += 1
+    assert solved[False] == len(slack) and solved[True] >= 10
+
+
+def test_round_raises_when_whole_block_floors_exceed_budget():
+    # two symmetric links capped at their power at z = 2.5: the continuous
+    # problem splits Z = 5 evenly, but 3 + 3 whole blocks do not fit
+    gain = channel.path_gain(500.0, WAVELENGTH, 2.5)
+    dwell = DwellMatrix(entries=np.array([[0.6, 0.0], [0.0, 0.6]]))
+    slack = raopt.RaInstance(
+        dwell=dwell, gains=np.full((2, 2), gain), packet_bits=100.0,
+        rb_bandwidth=15e3, total_rbs=5, noise_psd=1e-20, beta=BETA, pmax=1.0)
+    inst = dataclasses.replace(slack, pmax=slack.pair_power(0, 0, 2.5))
+    np.testing.assert_allclose(raopt.solve_reduced(inst).z, [2.5, 2.5], rtol=1e-12)
+    with pytest.raises(raopt.InfeasibleInstanceError):
+        raopt.brute_force(inst)
+    with pytest.raises(raopt.InfeasibleInstanceError) as exc:
+        raopt.round_rbs(inst)
+    assert exc.value.uav in (0, 1)
+    # more serving UAVs than blocks, with slack caps
+    crowded = raopt.RaInstance(
+        dwell=DwellMatrix(entries=np.eye(3) * 0.6), gains=np.full((3, 3), gain),
+        packet_bits=100.0, rb_bandwidth=15e3, total_rbs=2, noise_psd=1e-20,
+        beta=BETA, pmax=1.0)
+    with pytest.raises(raopt.InfeasibleInstanceError) as exc:
+        raopt.round_rbs(crowded)
+    assert exc.value.uav == 0
 
 
 def test_brute_force_single_uav_matches_closed_form():
@@ -409,8 +407,8 @@ def test_relaxation_bound_and_rounding_gap(rng):
         cont = raopt.solve_reduced(inst)
         exact = raopt.brute_force(inst)
         assert cont.objective <= exact.objective * (1 + 1e-9)
-        rounded = raopt.round_rbs(cont, inst)
-        assert rounded.objective <= exact.objective * 1.05
+        rounded = raopt.round_rbs(inst)
+        assert rounded.objective <= exact.objective * (1 + 1e-12)
 
 
 def test_rb_term_derivative_matches_central_differences(rng):
@@ -480,7 +478,7 @@ def test_no_served_chs_put_the_whole_budget_at_uav_0(uavs):
         rb_bandwidth=15e3, total_rbs=6, noise_psd=1e-20, beta=BETA, pmax=1.0)
     kkt_sol, point = raopt.solve_kkt(inst)
     reduced = raopt.solve_reduced(inst)
-    for sol in (reduced, kkt_sol, raopt.round_rbs(reduced, inst), raopt.brute_force(inst)):
+    for sol in (reduced, kkt_sol, raopt.round_rbs(inst), raopt.brute_force(inst)):
         assert sol.z.tolist() == [6.0] + [0.0] * (uavs - 1)
         assert np.all(sol.power == 0) and sol.objective == 0.0
     assert raopt.max_feasibility_violation(inst, point) <= 0
