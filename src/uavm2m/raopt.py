@@ -21,11 +21,12 @@ Three independent routes are provided and cross-checked against each other:
   plans and at paper scale.
 * `solve_reduced` - eliminates powers through the tight delivery constraint
   and minimizes the remaining separable convex function of z by bisecting on
-  the shared multiplier that equalizes per-UAV marginal costs, solving for
-  every UAV's RB count at once with a bracketed Newton iteration that starts
-  from the allocations at the two levels bracketing the multiplier; each
-  Newton step reads the marginal cost and its curvature from one pass over
-  the links (`LinkView.slopes`).
+  the shared multiplier that equalizes per-UAV marginal costs, from the
+  bracket the marginals span at the equal-marginal start down to the
+  budget's rounding noise, solving for every UAV's RB count at once with a
+  bracketed Newton iteration that starts from the allocations at the two
+  levels bracketing the multiplier; each Newton step reads the marginal
+  cost and its curvature from one pass over the links (`LinkView.slopes`).
 * `brute_force` - exact enumeration over integer allocations (small sizes),
   the oracle for `round_rbs`: marginal allocation from the whole-block cap
   floors, exact because the cost is separable and convex in each UAV's
@@ -40,7 +41,9 @@ every point it returns against the scalar `kkt_residuals`, whose
 `rb_term_derivative` and `channel.required_power` take the same forms on
 their own; the two routes stay independent because they solve different
 systems (the KKT conditions against an equal-marginal search). Both
-decide feasibility the same way, from the per-UAV cap floors. Every route
+decide feasibility the same way, from the per-UAV cap floors, and both
+start from the same heuristic allocation (`_equal_marginal_start`), which
+is neither route's answer. Every route
 turns the serving UAVs' RB counts into its solution in `_solution`, which
 puts the whole budget at UAV 0, at zero power, when no link is served.
 """
@@ -383,6 +386,17 @@ def _cap_floors(inst: RaInstance) -> np.ndarray:
     return floors
 
 
+def _equal_marginal_start(inst: RaInstance) -> np.ndarray:
+    """Per serving UAV, its cap floor plus a share of the spare blocks
+    proportional to sqrt(K) (cost ~ const + K/z at small exponents, so equal
+    marginals): a heuristic start for both routes, neither route's answer."""
+    links, floors = inst.links, inst.cap_floors
+    spare = max(float(inst.total_rbs) - floors.sum(), 0.0)
+    root_k = np.sqrt(np.maximum(links.per_uav(
+        (links.weight + 1e-6) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300))
+    return floors + spare * root_k / root_k.sum()
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _row_scales(inst: RaInstance, z_ref: np.ndarray) -> tuple[np.ndarray, float]:
     """Magnitude of each RB-stationarity row at z_ref (one entry per serving
@@ -421,17 +435,13 @@ class KktSystem:
         self.floors = inst.cap_floors
         n_u, n_p = len(links.uavs), len(links.ch)
         self.size = n_u + n_p + 1
-        # warm start: each serving UAV at its cap floor plus a share of the
-        # spare blocks proportional to sqrt(K) (cost ~ const + K/z at small
-        # exponents, so equal marginals), the budget multiplier at sigma_mult
-        # (the median RB-stationarity row there) and the cap multipliers, slack
-        # at a typical optimum, at 1e-16: the scaled residual is O(1) and the
-        # slack caps' rows s**2 * g start below tolerance; at 1e-6 their double
-        # root at s = 0 lets LM only halve s per step, ~12 iterations, not ~3
-        spare = max(self.big_z - self.floors.sum(), 0.0)
-        root_k = np.sqrt(np.maximum(links.per_uav(
-            (links.weight + 1e-6) * links.coeff * (links.c * _LN2) ** 2 / 2.0), 1e-300))
-        z0 = self.floors + spare * root_k / root_k.sum()
+        # warm start: the RB counts at `_equal_marginal_start`, the budget
+        # multiplier at sigma_mult (the median RB-stationarity row there) and
+        # the cap multipliers, slack at a typical optimum, at 1e-16: the scaled
+        # residual is O(1) and the slack caps' rows s**2 * g start below
+        # tolerance; at 1e-6 their double root at s = 0 lets LM only halve s
+        # per step, ~12 iterations, not ~3
+        z0 = _equal_marginal_start(inst)
         self.rho, self.sigma_mult = _row_scales(inst, z0)
         self.start = np.concatenate([np.sqrt(np.maximum(z0 - self.floors, 0.0) / self.big_z),
                                      np.full(n_p, np.sqrt(1e-16)), [1.0]])
@@ -597,10 +607,14 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
     The remaining cost is separable and strictly decreasing in each z_u, so
     the whole RB budget is spent; the optimum equalizes per-UAV marginal
     costs at a shared level mu found by bisection. z falls as mu rises, so
-    the allocations at the bracket's two levels bracket every UAV's z at the
-    next level, and each level's Newton solve starts inside that bracket.
-    Power caps become per-UAV floors on z; the instance is feasible iff
-    they fit in the budget.
+    the levels -marginal_u(z0) at the equal-marginal start z0, which spends
+    the budget, bracket mu (at the lowest every UAV takes at least its z0,
+    at the highest at most), and the allocations at a bracket's two levels
+    bracket every UAV's z at the next level, where its Newton solve starts.
+    The search stops once a level's allocation spends the budget within
+    1e-13 * Z, the accuracy of its sum (or at adjacent floats); the gap
+    left goes to the largest allocation. Power caps become per-UAV floors
+    on z; the instance is feasible iff they fit in the budget.
     """
     links = inst.links
     if not len(links.ch):
@@ -610,22 +624,21 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
     z_full = np.full_like(floors, big_z)
     mu_full = -links.slopes(z_full)[0]
     mu_floor = -links.slopes(floors)[0]
-    # at mu = lo some UAV takes all of Z; at mu = hi every UAV takes at most
-    # its floor plus an even share of the slack, so the level lies between
-    lo = float(mu_full.min())
-    hi = float(-links.slopes(floors + (big_z - floors.sum()) / len(floors))[0].min())
+    mu0 = -links.slopes(_equal_marginal_start(inst))[0]
+    lo, hi = float(mu0.min()), float(mu0.max())
     # z at levels lo and hi once solved; [floors, Z] brackets every level
     z_lo, z_hi = z_full, floors
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        z_mid = _z_at_level(links, mid, z_hi, z_lo, mu_full, mu_floor)
-        if z_mid.sum() > big_z:
-            lo, z_lo = mid, z_mid
+    while True:
+        mid = 0.5 * (lo + hi)
+        z_serving = _z_at_level(links, mid, z_hi, z_lo, mu_full, mu_floor)
+        gap = z_serving.sum() - big_z
+        if abs(gap) <= 1e-13 * big_z or not lo < mid < hi:
+            break
+        if gap > 0:
+            lo, z_lo = mid, z_serving
         else:
-            hi, z_hi = mid, z_mid
-    z_serving = _z_at_level(links, hi, z_hi, z_lo, mu_full, mu_floor)
-    # the bisection ends at adjacent levels; the last rounding-level gap to
-    # the budget goes to the largest allocation
-    z_serving[np.argmax(z_serving)] += big_z - z_serving.sum()
+            hi, z_hi = mid, z_serving
+    z_serving[np.argmax(z_serving)] -= gap
     sol = _solution(inst, z_serving)
     if np.any(sol.power > inst.pmax * (1 + 1e-9)):
         g, u = np.unravel_index(int(np.argmax(sol.power)), sol.power.shape)
@@ -652,8 +665,13 @@ def round_rbs(inst: RaInstance) -> RaSolution:
         raise InfeasibleInstanceError(
             f"whole-block cap floors sum to {z.sum():.0f} > {inst.total_rbs} resource blocks",
             uav=int(links.uavs[np.argmax(z)]))
+    # each UAV's cost reads its own links only, so a block changes one entry
+    cost = links.cost(z)
     for _ in range(int(inst.total_rbs - z.sum())):
-        z[np.argmax(links.cost(z) - links.cost(z + 1))] += 1
+        cost_up = links.cost(z + 1)
+        u = np.argmax(cost - cost_up)
+        z[u] += 1
+        cost[u] = cost_up[u]
     return _solution(inst, z)
 
 

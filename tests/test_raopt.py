@@ -203,7 +203,10 @@ def test_reduced_solves_instances_with_binding_caps(rng):
     # Z/n can break the cap while an uneven split still keeps it. The KKT
     # route must never call such an instance infeasible. Its single LM run
     # verifies only some of them (a floor on the count below); the others
-    # raise SolverConvergenceError and are left to a fallback route
+    # raise SolverConvergenceError and are left to a fallback route. Which
+    # draws verify turns on pmax's last bits (one ulp either way verifies 4),
+    # so pmax comes from the KKT route's uncapped optimum, which the reduced
+    # route's last bits cannot move
     slacks = [split_ch_instance(6)]
     while len(slacks) < 41:
         slack = random_instance(rng)
@@ -211,7 +214,7 @@ def test_reduced_solves_instances_with_binding_caps(rng):
             slacks.append(slack)
     solved = binding = verified = 0
     for slack in slacks:
-        uncapped = raopt.solve_reduced(slack)
+        uncapped, _ = raopt.solve_kkt(slack)
         inst = dataclasses.replace(slack, pmax=0.999 * float(uncapped.power.max()))
         try:
             exact = raopt.brute_force(inst)
@@ -615,8 +618,9 @@ def test_z_at_level_reaches_the_root(rng):
 
 
 def test_reduced_matches_cold_start_bisection(rng):
-    # reference: the same bisection with every level solved from the box
-    # [floors, Z], as before levels bracketed each other
+    # reference: bisection to adjacent floats from the wide bracket [lowest
+    # marginal at Z, lowest marginal at an even split of the spare blocks],
+    # every level solved from the box [floors, Z]
     for inst in _cap_floor_fixtures(rng):
         links, floors, z_full, mu_full, mu_floor = _levels(inst)
         big_z = float(inst.total_rbs)
@@ -631,6 +635,70 @@ def test_reduced_matches_cold_start_bisection(rng):
         z[np.argmax(z)] += big_z - z.sum()
         expected = float(links.cost(z).sum())
         assert raopt.solve_reduced(inst).objective == pytest.approx(expected, rel=1e-12)
+
+
+def _floors_fill_the_budget():
+    """Two UAVs with one link each, of different dwell, capped at their
+    power at z = 2.5 with Z = 5: the cap floors sum to Z up to rounding,
+    at different marginals."""
+    gain = channel.path_gain(500.0, WAVELENGTH, 2.5)
+    dwell = DwellMatrix(entries=np.array([[0.6, 0.0], [0.0, 0.3]]))
+    slack = raopt.RaInstance(
+        dwell=dwell, gains=np.full((2, 2), gain), packet_bits=100.0,
+        rb_bandwidth=15e3, total_rbs=5, noise_psd=1e-20, beta=BETA, pmax=1.0)
+    p0, p1 = slack.pair_power(0, 0, 2.5), slack.pair_power(1, 1, 2.5)
+    gains = np.full((2, 2), gain)
+    gains[1, 1] *= p1 / p0
+    return dataclasses.replace(slack, gains=gains, pmax=p0)
+
+
+def test_equal_marginal_levels_bracket_the_shared_level(rng):
+    # the equal-marginal start z0 spends the budget and z falls as the level
+    # rises: at the lowest of the levels mu0 = -marginal(z0) every UAV takes
+    # at least its z0, at the highest at most its z0, so the allocations
+    # there over- and underspend Z; `solve_reduced` bisects between them
+    tight = _floors_fill_the_budget()
+    assert tight.cap_floors.sum() == pytest.approx(5.0, rel=1e-12)
+    singles = [random_instance(rng, max_uavs=1) for _ in range(5)]
+    for inst in [*_cap_floor_fixtures(rng), *singles, tight]:
+        links, floors, z_full, mu_full, mu_floor = _levels(inst)
+        big_z = float(inst.total_rbs)
+        z0 = raopt._equal_marginal_start(inst)
+        assert np.all(z0 >= floors) and z0.sum() == pytest.approx(big_z, rel=1e-12)
+        mu0 = -links.slopes(z0)[0]
+        over = raopt._z_at_level(links, mu0.min(), floors, z_full, mu_full, mu_floor)
+        under = raopt._z_at_level(links, mu0.max(), floors, z_full, mu_full, mu_floor)
+        assert np.all(over >= z0 * (1 - 1e-9)) and np.all(under <= z0 * (1 + 1e-9))
+        assert over.sum() >= big_z * (1 - 1e-12) and under.sum() <= big_z * (1 + 1e-12)
+    np.testing.assert_allclose(raopt.solve_reduced(tight).z, [2.5, 2.5], rtol=1e-12)
+
+
+def test_reduced_level_search_reads_few_marginals(monkeypatch, rng):
+    # the equal-marginal bracket is ~1e-3 of the level wide and the search
+    # stops once the budget is spent to its rounding noise: ~57 marginal
+    # passes per solve on these draws, against ~100 from a bracket several
+    # times the level wide bisected to adjacent floats. Stopping there still
+    # leaves every UAV's marginal at the shared level, and the budget gap
+    # left goes to one UAV, so the blocks sum to Z to rounding
+    calls = []
+    slopes = raopt.LinkView.slopes
+
+    def counted(self, z):
+        calls.append(z)
+        return slopes(self, z)
+
+    monkeypatch.setattr(raopt.LinkView, "slopes", counted)
+    solves, spread, gap = 0, 0.0, 0.0
+    while solves < 50:
+        inst = random_instance(rng)
+        if len(inst.active_uavs()) >= 2:
+            links = inst.links
+            z = raopt.solve_reduced(inst).z
+            level = -slopes(links, z[links.uavs])[0]
+            spread = max(spread, (level.max() - level.min()) / level.min())
+            gap = max(gap, abs(z.sum() - inst.total_rbs) / inst.total_rbs)
+            solves += 1
+    assert len(calls) / solves <= 65 and spread <= 1e-11 and gap <= 1e-15
 
 
 def test_kkt_warm_start_residual_is_order_one(rng):
