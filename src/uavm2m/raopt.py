@@ -24,9 +24,10 @@ Three independent routes are provided and cross-checked against each other:
   the shared multiplier that equalizes per-UAV marginal costs, from the
   bracket the marginals span at the equal-marginal start down to the
   budget's rounding noise, solving for every UAV's RB count at once with a
-  bracketed Newton iteration that starts from the allocations at the two
-  levels bracketing the multiplier; each Newton step reads the marginal
-  cost and its curvature from one pass over the links (`LinkView.slopes`).
+  Newton iteration safeguarded by the allocations at the two levels
+  bracketing the multiplier and started at their cubic Hermite prediction
+  (predictor-corrector, Allgower & Georg, 2003), so that most levels take
+  one pass over the links (`LinkView.slopes`).
 * `brute_force` - exact enumeration over integer allocations (small sizes),
   the oracle for `round_rbs`: marginal allocation from the whole-block cap
   floors, exact because the cost is separable and convex in each UAV's
@@ -41,9 +42,11 @@ every point it returns against the scalar `kkt_residuals`, whose
 `rb_term_derivative` and `channel.required_power` take the same forms on
 their own; the two routes stay independent because they solve different
 systems (the KKT conditions against an equal-marginal search). Both
-decide feasibility the same way, from the per-UAV cap floors, and both
-start from the same heuristic allocation (`_equal_marginal_start`), which
-is neither route's answer. Every route
+decide feasibility the same way, from the per-UAV cap floors (located by
+Newton and checked to the bit against the float power, `_cap_floors`),
+and both start from the same heuristic allocation
+(`RaInstance.equal_marginal_start`), which is neither route's answer; the
+instance computes each once. Every route
 turns the serving UAVs' RB counts into its solution in `_solution`, which
 puts the whole budget at UAV 0, at zero power, when no link is served.
 """
@@ -199,12 +202,20 @@ class RaInstance:
     @cached_property
     def cap_floors(self) -> np.ndarray:
         """Per serving UAV, the smallest z keeping all its links within pmax
-        (`_cap_floors`, read-only), bisected once per instance for both
+        (`_cap_floors`, read-only), located once per instance for both
         routes; every read of an infeasible instance raises
         InfeasibleInstanceError."""
         floors = _cap_floors(self)
         floors.setflags(write=False)
         return floors
+
+    @cached_property
+    def equal_marginal_start(self) -> np.ndarray:
+        """`_equal_marginal_start`, read-only, computed once per instance for
+        both routes."""
+        start = _equal_marginal_start(self)
+        start.setflags(write=False)
+        return start
 
     def active_pairs(self) -> list[tuple[int, int]]:
         """(ch, uav) links with positive dwell, ch-major order."""
@@ -349,10 +360,46 @@ def max_feasibility_violation(inst: RaInstance, point: KktPoint) -> float:
     return float(worst)
 
 
+# bit offsets of the doubles around each cap crossing that `_cap_floors` reads
+_WINDOW = np.arange(-64, 65)[:, None]
+
+
+def _cap_crossings(c: np.ndarray, coeff: np.ndarray, pmax: float, big_z: float) -> np.ndarray:
+    """Per link, the z in [Z_MIN_ACTIVE, Z] where its power meets pmax:
+    Newton on b = log z of f(b) = log power - log pmax, with log power =
+    log coeff + b + a + log(-expm1(-a)) at any a = ln2 * c / z and f'(b) =
+    1 - a / -expm1(-a). f is decreasing and convex, so from the hot end
+    log Z_MIN_ACTIVE no step passes the root; the steps stop once none
+    moves b by more than 1e-9 (~7 on the benchmark pool)."""
+    ca = c * _LN2
+    shift = np.log(coeff / pmax)
+    lo, hi = math.log(Z_MIN_ACTIVE), math.log(big_z)
+    b = np.full_like(c, lo)
+    for _ in range(100):
+        a = ca * np.exp(-b)
+        em = -np.expm1(-a)
+        b_new = np.clip(b - (shift + b + a + np.log(em)) / (1.0 - a / em), lo, hi)
+        done = np.all(np.abs(b_new - b) <= 1e-9)
+        b = b_new
+        if done:
+            break
+    return np.exp(b)
+
+
 @np.errstate(over="ignore")
 def _cap_floors(inst: RaInstance) -> np.ndarray:
     """Per serving UAV, the smallest z keeping all its links within pmax:
-    bisection on the power of every link at once, down to adjacent floats.
+    per link, the double a bisection of its float power on [Z_MIN_ACTIVE,
+    Z] ends on. Newton finds each capped link's crossing (`_cap_crossings`)
+    and one `LinkView.power` call reads the doubles within 64 ulps of each.
+    Where those are one hot-to-cold step whose ends clear pmax by twice the
+    kernel's rounding error (2**-52 * (a + 6) relative, a = ln2 * c / z,
+    expm1 within 4 ulps), every comparison the bisection makes outside the
+    window goes the way the exact, decreasing power goes, so it ends on the
+    window's first cold double. The float power is not monotone within 2
+    ulps at 9 of 587 capped crossings in the benchmark pool's first 120
+    instances, and binding caps at small a are nearly flat in z: those
+    links, and any other whose window fails, are bisected to adjacent floats.
     Both routes decide feasibility here, through `RaInstance.cap_floors`:
     the instance is feasible iff every link meets the cap at z = Z and the
     floors fit in the budget; otherwise InfeasibleInstanceError."""
@@ -365,18 +412,29 @@ def _cap_floors(inst: RaInstance) -> np.ndarray:
         raise InfeasibleInstanceError(
             f"link (ch={g}, uav={u}) exceeds the power cap even with all "
             f"{inst.total_rbs} resource blocks", ch=g, uav=u)
-    # a link within the cap at Z_MIN_ACTIVE starts with lo = hi and never
-    # moves; for the others power(lo) > pmax >= power(hi) throughout. Once
-    # every midpoint rounds to an end, no bracket can shrink further and a
-    # level leaves lo and hi as they are, so that test is made once per 8 levels
     lo = np.full(len(links.ch), Z_MIN_ACTIVE)
-    hi = np.where(links.power(lo) > inst.pmax, big_z, Z_MIN_ACTIVE)
+    capped = links.power(lo) > inst.pmax
+    crossing = lo.copy()
+    crossing[capped] = _cap_crossings(links.c[capped], links.coeff[capped], inst.pmax, big_z)
+    window = (crossing.view(np.int64) + _WINDOW).view(np.float64)
+    power = links.power(window)
+    hot = power > inst.pmax
+    noise = 2.0**-51 * (links.c * _LN2 / window[0] + 6.0) * inst.pmax
+    exact = (capped & (power[0] - inst.pmax > noise) & (inst.pmax - power[-1] > noise)
+             & (np.count_nonzero(hot[1:] != hot[:-1], axis=0) == 1))
+    # a link within the cap at Z_MIN_ACTIVE, or with an exact window, starts
+    # with lo = hi and never moves; for the others power(lo) > pmax >=
+    # power(hi) throughout. Once every midpoint rounds to an end, no bracket
+    # can shrink further and a level leaves lo and hi as they are, so that
+    # test is made once per 8 levels
+    hi = np.where(capped & ~exact, big_z, Z_MIN_ACTIVE)
     while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
         for _ in range(8):
             too_hot = links.power(mid) > inst.pmax
             np.copyto(lo, mid, where=too_hot)
             np.copyto(hi, mid, where=~too_hot)
             mid = 0.5 * (lo + hi)
+    hi = np.where(exact, window[np.argmin(hot, axis=0), np.arange(len(hi))], hi)
     floors = np.full(len(links.uavs), Z_MIN_ACTIVE)
     np.maximum.at(floors, links.seg, hi)
     if floors.sum() > big_z + 1e-9:
@@ -441,7 +499,7 @@ class KktSystem:
         # residual is O(1) and the slack caps' rows s**2 * g start below
         # tolerance; at 1e-6 their double root at s = 0 lets LM only halve s
         # per step, ~12 iterations, not ~3
-        z0 = _equal_marginal_start(inst)
+        z0 = inst.equal_marginal_start
         self.rho, self.sigma_mult = _row_scales(inst, z0)
         self.start = np.concatenate([np.sqrt(np.maximum(z0 - self.floors, 0.0) / self.big_z),
                                      np.full(n_p, np.sqrt(1e-16)), [1.0]])
@@ -572,32 +630,46 @@ def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
 # ---------------------------------------------------------------------------
 
 def _z_at_level(links: LinkView, mu: float, z_min: np.ndarray, z_max: np.ndarray,
-                mu_full: np.ndarray, mu_floor: np.ndarray) -> np.ndarray:
+                mu_full: np.ndarray, mu_floor: np.ndarray,
+                start: np.ndarray | None = None) -> np.ndarray:
     """Per serving UAV, the z where the marginal cost is -mu, clamped to the
-    box [floors, Z]: at mu <= mu_full a UAV takes all of Z, at mu >= mu_floor
-    it stays at its floor. [z_min, z_max] brackets the answer: the z of a
-    higher and of a lower level (z falls as mu rises), or [floors, Z] when
-    no level is known yet. Newton steps on log(-marginal) over log z start
-    at z_max, are safeguarded by each UAV's bracket, and stop once no z moves
-    by more than 1e-10 relative; the error is then at the marginal's
-    rounding noise."""
+    box [floors, Z]; `_level_solve` without its rates."""
+    return _level_solve(links, mu, z_min, z_max, mu_full, mu_floor, start)[0]
+
+
+def _level_solve(links: LinkView, mu: float, z_min: np.ndarray, z_max: np.ndarray,
+                 mu_full: np.ndarray, mu_floor: np.ndarray,
+                 start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per serving UAV, the z where the marginal cost is -mu, clamped to the
+    box [floors, Z], and dz/dmu there: -1/curvature, 0 at a bound. At mu <=
+    mu_full a UAV takes all of Z, at mu >= mu_floor it stays at its floor.
+    [z_min, z_max] brackets the answer: the z of a higher and of a lower
+    level (z falls as mu rises), or [floors, Z] when no level is known yet.
+    Newton steps on log(-marginal) over log z start at `start` clipped into
+    the bracket (at z_max without one), are safeguarded by each UAV's
+    bracket, and stop once no z moves by more than 1e-10 relative; the error
+    is then at the marginal's rounding noise. The rate comes from the last
+    pass, at the z the last step left from."""
     free = (mu_full < mu) & (mu < mu_floor)
-    lo, z, hi = z_min, z_max, z_max
+    lo, hi = z_min, z_max
+    z = z_max if start is None else np.where(free, np.minimum(np.maximum(start, z_min), z_max),
+                                             z_max)
     for _ in range(100):
         slope, bend = links.slopes(z)
-        g = np.log(-slope / mu)  # > 0 while z is below its root
-        lo = np.where(g > 0, z, lo)
-        hi = np.where(g > 0, hi, z)
+        g = np.log(-slope / mu)
+        below = g > 0  # z is below its root
+        lo = np.where(below, z, lo)
+        hi = np.where(below, hi, z)
         z_new = z * np.exp(-g * slope / (z * bend))
         z_new = np.where((lo <= z_new) & (z_new <= hi), z_new, np.sqrt(lo * hi))
         z_new = np.where(free, z_new, z)
-        done = np.all(np.abs(z_new - z) <= 1e-10 * z)
+        done = (np.abs(z_new - z) <= 1e-10 * z).all()
         z = z_new
         if done:
             break
     # a UAV at Z (mu <= mu_full) starts there and never moves; one held at
     # its floor sits at the bracket's low end, the floor itself
-    return np.where(mu >= mu_floor, z_min, z)
+    return np.where(mu >= mu_floor, z_min, z), np.where(free, -1.0 / bend, 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -606,11 +678,16 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
 
     The remaining cost is separable and strictly decreasing in each z_u, so
     the whole RB budget is spent; the optimum equalizes per-UAV marginal
-    costs at a shared level mu found by bisection. z falls as mu rises, so
-    the levels -marginal_u(z0) at the equal-marginal start z0, which spends
-    the budget, bracket mu (at the lowest every UAV takes at least its z0,
-    at the highest at most), and the allocations at a bracket's two levels
-    bracket every UAV's z at the next level, where its Newton solve starts.
+    costs at a shared level mu found by bisection (the multiplier search of
+    Patriksson, EJOR 185, 2008). z falls as mu rises, so the levels
+    -marginal_u(z0) at the equal-marginal start z0, which spends the
+    budget, bracket mu (at the lowest every UAV takes at least its z0, at
+    the highest at most), and the allocations at a bracket's two levels
+    bracket every UAV's z at the next level. Its Newton solve starts at the
+    cubic Hermite prediction from the z and dz/dmu of those two levels, or,
+    until both are solved, at the tangent from the latest solved level,
+    first z0 (each UAV's z0 solves its own level mu0_u); most levels then
+    take one pass.
     The search stops once a level's allocation spends the budget within
     1e-13 * Z, the accuracy of its sum (or at adjacent floats); the gap
     left goes to the largest allocation. Power caps become per-UAV floors
@@ -624,20 +701,31 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
     z_full = np.full_like(floors, big_z)
     mu_full = -links.slopes(z_full)[0]
     mu_floor = -links.slopes(floors)[0]
-    mu0 = -links.slopes(_equal_marginal_start(inst))[0]
+    slope0, bend0 = links.slopes(inst.equal_marginal_start)
+    mu0 = -slope0
     lo, hi = float(mu0.min()), float(mu0.max())
-    # z at levels lo and hi once solved; [floors, Z] brackets every level
+    # z and dz/dmu at levels lo and hi once solved; [floors, Z] brackets
+    # every level. Until both are, the start is the tangent at the latest
+    # solved level, first at z0, where each UAV solves its own level mu0
     z_lo, z_hi = z_full, floors
+    rate_lo = rate_hi = None
+    latest = mu0, inst.equal_marginal_start, -1.0 / bend0
     while True:
         mid = 0.5 * (lo + hi)
-        z_serving = _z_at_level(links, mid, z_hi, z_lo, mu_full, mu_floor)
+        if rate_lo is None or rate_hi is None:
+            mu_at, z_at, rate_at = latest
+            start = z_at + (mid - mu_at) * rate_at
+        else:
+            start = 0.5 * (z_lo + z_hi) + 0.125 * (hi - lo) * (rate_lo - rate_hi)
+        z_serving, rate = _level_solve(links, mid, z_hi, z_lo, mu_full, mu_floor, start)
+        latest = mid, z_serving, rate
         gap = z_serving.sum() - big_z
         if abs(gap) <= 1e-13 * big_z or not lo < mid < hi:
             break
         if gap > 0:
-            lo, z_lo = mid, z_serving
+            lo, z_lo, rate_lo = mid, z_serving, rate
         else:
-            hi, z_hi = mid, z_serving
+            hi, z_hi, rate_hi = mid, z_serving, rate
     z_serving[np.argmax(z_serving)] -= gap
     sol = _solution(inst, z_serving)
     if np.any(sol.power > inst.pmax * (1 + 1e-9)):
