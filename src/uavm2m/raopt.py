@@ -360,30 +360,31 @@ def max_feasibility_violation(inst: RaInstance, point: KktPoint) -> float:
     return float(worst)
 
 
-# bit offsets of the doubles around each cap crossing that `_cap_floors` reads
-_WINDOW = np.arange(-64, 65)[:, None]
+# bit offsets of the doubles around each cap crossing that `_cap_floors`
+# reads; `_cap_crossings` lands within 3 ulps of every slack-cap crossing on
+# the benchmark's crosscheck pool and sweep cells
+_WINDOW = np.arange(-16, 17)[:, None]
 
 
 def _cap_crossings(c: np.ndarray, coeff: np.ndarray, pmax: float, big_z: float) -> np.ndarray:
-    """Per link, the z in [Z_MIN_ACTIVE, Z] where its power meets pmax:
-    Newton on b = log z of f(b) = log power - log pmax, with log power =
-    log coeff + b + a + log(-expm1(-a)) at any a = ln2 * c / z and f'(b) =
-    1 - a / -expm1(-a). f is decreasing and convex, so from the hot end
-    log Z_MIN_ACTIVE no step passes the root; the steps stop once none
-    moves b by more than 1e-9 (~7 on the benchmark pool)."""
+    """Per link, the z in [Z_MIN_ACTIVE, Z] where its power meets pmax.
+    With a = ln2 * c / z, power = coeff * ln2 * c * exp(g(a)), where g(a) =
+    log(expm1(a) / a) is the cumulant generating function of the uniform
+    distribution on [0, 1]: increasing and convex, g'(a) = 1 / -expm1(-a) -
+    1 / a, and close to linear at large a. Newton on g from the hot end a =
+    ln2 * c / Z_MIN_ACTIVE never passes the root, and stops once no step
+    moves a by more than 1e-9 relative."""
     ca = c * _LN2
-    shift = np.log(coeff / pmax)
-    lo, hi = math.log(Z_MIN_ACTIVE), math.log(big_z)
-    b = np.full_like(c, lo)
+    target = np.log(pmax / (coeff * ca))
+    a, a_min = ca / Z_MIN_ACTIVE, ca / big_z
     for _ in range(100):
-        a = ca * np.exp(-b)
         em = -np.expm1(-a)
-        b_new = np.clip(b - (shift + b + a + np.log(em)) / (1.0 - a / em), lo, hi)
-        done = np.all(np.abs(b_new - b) <= 1e-9)
-        b = b_new
+        a_new = np.maximum(a - (a + np.log(em / a) - target) / (1.0 / em - 1.0 / a), a_min)
+        done = np.all(np.abs(a_new - a) <= 1e-9 * a)
+        a = a_new
         if done:
             break
-    return np.exp(b)
+    return ca / a
 
 
 @np.errstate(over="ignore")
@@ -391,7 +392,7 @@ def _cap_floors(inst: RaInstance) -> np.ndarray:
     """Per serving UAV, the smallest z keeping all its links within pmax:
     per link, the double a bisection of its float power on [Z_MIN_ACTIVE,
     Z] ends on. Newton finds each capped link's crossing (`_cap_crossings`)
-    and one `LinkView.power` call reads the doubles within 64 ulps of each.
+    and one `LinkView.power` call reads the doubles within 16 ulps of each.
     Where those are one hot-to-cold step whose ends clear pmax by twice the
     kernel's rounding error (2**-52 * (a + 6) relative, a = ln2 * c / z,
     expm1 within 4 ulps), every comparison the bisection makes outside the
@@ -631,15 +632,7 @@ def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
 
 def _z_at_level(links: LinkView, mu: float, z_min: np.ndarray, z_max: np.ndarray,
                 mu_full: np.ndarray, mu_floor: np.ndarray,
-                start: np.ndarray | None = None) -> np.ndarray:
-    """Per serving UAV, the z where the marginal cost is -mu, clamped to the
-    box [floors, Z]; `_level_solve` without its rates."""
-    return _level_solve(links, mu, z_min, z_max, mu_full, mu_floor, start)[0]
-
-
-def _level_solve(links: LinkView, mu: float, z_min: np.ndarray, z_max: np.ndarray,
-                 mu_full: np.ndarray, mu_floor: np.ndarray,
-                 start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per serving UAV, the z where the marginal cost is -mu, clamped to the
     box [floors, Z], and dz/dmu there: -1/curvature, 0 at a bound. At mu <=
     mu_full a UAV takes all of Z, at mu >= mu_floor it stays at its floor.
@@ -656,14 +649,13 @@ def _level_solve(links: LinkView, mu: float, z_min: np.ndarray, z_max: np.ndarra
                                              z_max)
     for _ in range(100):
         slope, bend = links.slopes(z)
-        g = np.log(-slope / mu)
-        below = g > 0  # z is below its root
-        lo = np.where(below, z, lo)
-        hi = np.where(below, hi, z)
+        g = np.log(-slope / mu)  # > 0 while z is below its root
+        lo = np.where(g > 0, z, lo)
+        hi = np.where(g > 0, hi, z)
         z_new = z * np.exp(-g * slope / (z * bend))
         z_new = np.where((lo <= z_new) & (z_new <= hi), z_new, np.sqrt(lo * hi))
         z_new = np.where(free, z_new, z)
-        done = (np.abs(z_new - z) <= 1e-10 * z).all()
+        done = np.all(np.abs(z_new - z) <= 1e-10 * z)
         z = z_new
         if done:
             break
@@ -717,7 +709,7 @@ def solve_reduced(inst: RaInstance) -> RaSolution:
             start = z_at + (mid - mu_at) * rate_at
         else:
             start = 0.5 * (z_lo + z_hi) + 0.125 * (hi - lo) * (rate_lo - rate_hi)
-        z_serving, rate = _level_solve(links, mid, z_hi, z_lo, mu_full, mu_floor, start)
+        z_serving, rate = _z_at_level(links, mid, z_hi, z_lo, mu_full, mu_floor, start)
         latest = mid, z_serving, rate
         gap = z_serving.sum() - big_z
         if abs(gap) <= 1e-13 * big_z or not lo < mid < hi:
