@@ -29,7 +29,7 @@ _MAX_INNER = 60
 @dataclass
 class LmaResult:
     solution: np.ndarray
-    residual_norm: float
+    residual: np.ndarray  # the residual at `solution`, as the stop test saw it
     iterations: int
     converged: bool
     # ||r||^2 at the start and after each accepted step; strictly decreasing
@@ -38,14 +38,13 @@ class LmaResult:
 
 
 def numeric_jacobian(residual_fn: Callable[[np.ndarray], np.ndarray],
-                     x: np.ndarray,
-                     fd_step: float = 1e-7) -> np.ndarray:
-    """Forward-difference Jacobian with per-coordinate step fd_step * max(|x_i|, 1)."""
+                     x: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian with per-coordinate step 1e-7 * max(|x_i|, 1)."""
     x = np.asarray(x, dtype=float)
     r0 = np.asarray(residual_fn(x), dtype=float)
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
-        h = fd_step * max(abs(x[i]), 1.0)
+        h = 1e-7 * max(abs(x[i]), 1.0)
         xh = x.copy()
         xh[i] += h
         jac[:, i] = (np.asarray(residual_fn(xh), dtype=float) - r0) / h
@@ -120,5 +119,5 @@ def solve(residual_fn: Callable[[np.ndarray], np.ndarray],
         if done(x, r) or float(np.linalg.norm(step)) <= _STEP_TOL:
             converged = True
 
-    return LmaResult(solution=x, residual_norm=float(np.sqrt(cost)), iterations=iters,
-                     converged=converged, accepted_costs=accepted)
+    return LmaResult(solution=x, residual=r, iterations=iters, converged=converged,
+                     accepted_costs=accepted)

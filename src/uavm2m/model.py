@@ -134,8 +134,8 @@ class ClusterScenario(RadioParams):
 class DwellMatrix:
     """Per-(UAV, CH) dwelling-time fractions of one slot, shape U x G.
 
-    Every entry is >= 0 and each UAV's row sums to at most 1 (a UAV cannot
-    dwell longer than the slot).
+    Every entry is finite and >= 0, and each UAV's row sums to at most 1 (a
+    UAV cannot dwell longer than the slot).
     """
 
     entries: np.ndarray
@@ -144,8 +144,8 @@ class DwellMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"dwell matrix must be 2-D, got shape {arr.shape}")
-        if np.any(arr < -1e-12):
-            raise ValueError("dwell fractions must be nonnegative")
+        if not np.all((-1e-12 <= arr) & (arr < np.inf)):
+            raise ValueError("dwell fractions must be finite and nonnegative")
         row_sums = arr.sum(axis=1)
         if np.any(row_sums > 1 + 1e-9):
             raise ValueError(f"per-UAV dwell budget exceeded: row sums {row_sums}")

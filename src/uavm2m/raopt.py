@@ -17,8 +17,8 @@ Three independent routes are provided and cross-checked against each other:
   one multiplier per link cap and the budget multiplier. LM runs once, from
   the warm start that `KktSystem` builds (`KktSystem.start`, the cap
   multipliers below tolerance), and stops where the point would pass its
-  final checks (`KktSystem.accepts`), in ~3 iterations on 5-10 cluster
-  plans and at paper scale.
+  final checks (`KktSystem.shortfall` is None), in ~3 iterations on 5-10
+  cluster plans and at paper scale.
 * `solve_reduced` - eliminates powers through the tight delivery constraint
   and minimizes the remaining separable convex function of z by bisecting on
   the shared multiplier that equalizes per-UAV marginal costs, from the
@@ -180,13 +180,13 @@ class RaInstance:
                 f"gains shape {gains.shape} does not match dwell "
                 f"({self.dwell.num_uavs} UAVs x {self.dwell.num_clusters} CHs)"
             )
-        if np.any(gains <= 0):
-            raise ValueError("all link gains must be > 0")
-        if self.total_rbs < 1:
-            raise ValueError(f"total_rbs must be >= 1, got {self.total_rbs}")
+        if not np.all((0 < gains) & (gains < np.inf)):
+            raise ValueError("all link gains must be finite and > 0")
+        if not 1 <= self.total_rbs < np.inf:
+            raise ValueError(f"total_rbs must be finite and >= 1, got {self.total_rbs}")
         for name in ("packet_bits", "rb_bandwidth", "noise_psd", "beta", "pmax", "slot_s"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < (value := getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         gains.setflags(write=False)
         object.__setattr__(self, "gains", gains)
         object.__setattr__(self, "links", LinkView.build(self))
@@ -270,30 +270,20 @@ def rb_term_derivative(c: float, z: float) -> float:
     return em1 * (1.0 - a) - a
 
 
-def objective_value(inst: RaInstance, power: np.ndarray) -> float:
-    """Dwell-weighted total power sum_g sum_u d[u,g] * P[g,u]."""
-    return float(np.sum(inst.dwell.entries.T * power))
-
-
 @np.errstate(over="ignore")
-def _powers_for(inst: RaInstance, z: np.ndarray) -> np.ndarray:
-    """Tight delivery powers at allocation z (0 where no dwell)."""
-    links = inst.links
-    power = np.zeros((inst.num_chs, inst.num_uavs))
-    power[links.ch, links.uav] = links.power(np.asarray(z, dtype=float)[links.uav])
-    return power
-
-
 def _solution(inst: RaInstance, z_serving: np.ndarray) -> RaSolution:
     """z_serving blocks at the serving UAVs (`links.uavs` order) at tight
-    delivery powers; with no served link, all Z blocks at UAV 0."""
+    delivery powers (0 where no dwell), and the objective sum_g sum_u
+    d[u,g] * P[g,u]; with no served link, all Z blocks at UAV 0."""
+    links = inst.links
     z = np.zeros(inst.num_uavs)
-    if len(inst.links.ch):
-        z[inst.links.uavs] = z_serving
+    if len(links.ch):
+        z[links.uavs] = z_serving
     else:
         z[0] = inst.total_rbs
-    power = _powers_for(inst, z)
-    return RaSolution(z=z, power=power, objective=objective_value(inst, power))
+    power = np.zeros((inst.num_chs, inst.num_uavs))
+    power[links.ch, links.uav] = links.power(z[links.uav])
+    return RaSolution(z=z, power=power, objective=float(np.sum(inst.dwell.entries.T * power)))
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +446,6 @@ def _equal_marginal_start(inst: RaInstance) -> np.ndarray:
     return floors + spare * root_k / root_k.sum()
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _row_scales(inst: RaInstance, z_ref: np.ndarray) -> tuple[np.ndarray, float]:
-    """Magnitude of each RB-stationarity row at z_ref (one entry per serving
-    UAV), with each delivery multiplier near its link's dwell (+ 1e-6), and
-    its median; used to put those rows and the budget multiplier on an O(1)
-    footing."""
-    links = inst.links
-    slope = links.link_slopes(z_ref[links.seg])[0]
-    rho = links.per_uav((links.weight + 1e-6) * np.abs(slope))
-    rho = np.where(np.isfinite(rho) & (rho > 0), rho, 1e-300)
-    return rho, float(np.median(rho))
-
-
 class KktSystem:
     """The optimality system of `kkt_residuals` on the unknowns that
     `solve_kkt` iterates on, with its analytic Jacobian.
@@ -487,6 +464,7 @@ class KktSystem:
     Scaling rows and unknowns by positive constants leaves the roots unchanged.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, inst: RaInstance):
         links = self.links = inst.links
         self.inst = inst
@@ -501,24 +479,14 @@ class KktSystem:
         # tolerance; at 1e-6 their double root at s = 0 lets LM only halve s
         # per step, ~12 iterations, not ~3
         z0 = inst.equal_marginal_start
-        self.rho, self.sigma_mult = _row_scales(inst, z0)
+        # rho: each RB-stationarity row's size at z0, delivery multipliers at dwell + 1e-6
+        rho = links.per_uav((links.weight + 1e-6) * np.abs(links.link_slopes(z0[links.seg])[0]))
+        self.rho = np.where(np.isfinite(rho) & (rho > 0), rho, 1e-300)
+        self.sigma_mult = float(np.median(self.rho))
         self.start = np.concatenate([np.sqrt(np.maximum(z0 - self.floors, 0.0) / self.big_z),
                                      np.full(n_p, np.sqrt(1e-16)), [1.0]])
         self.row_scale = np.concatenate([
             np.full(n_p, inst.pmax), [self.sigma_mult * self.big_z], self.rho])
-        # the Jacobian's nonzeros as one flat index, in the order `jacobian`
-        # lists their values; no position repeats. Columns et, s_pmax,
-        # s_budget start at 0, n_u, n_u + n_p; rows 1, 2, 4 at 0, n_p, n_p + 1
-        cs, cb, r_budget, r_stat = n_u, n_u + n_p, n_p, n_p + 1
-        iu, ip, seg = np.arange(n_u), np.arange(n_p), links.seg
-        at = [  # (row, column) per entry
-            (ip, seg), (ip, cs + ip),
-            (np.full(n_u, r_budget), iu), ([r_budget], [cb]),
-            (r_stat + iu, iu), (r_stat + seg, cs + ip), (r_stat + iu, np.full(n_u, cb)),
-        ]
-        self._jac_at = np.ravel_multi_index(
-            (np.concatenate([r for r, _ in at]), np.concatenate([c for _, c in at])),
-            (self.size, self.size))
 
     def _split(self, x: np.ndarray):
         """et, s_pmax, s_budget, and the RB counts z of the serving UAVs."""
@@ -554,52 +522,53 @@ class KktSystem:
             return "budget overspend (blocks)", over, 1e-10
         return None
 
-    def accepts(self, x: np.ndarray, r: np.ndarray) -> bool:
-        """LM's stop test: x passes every check of `shortfall`."""
-        return self.shortfall(x, r) is None
-
     @np.errstate(over="ignore", invalid="ignore")
     def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Dense; columns et from 0, s_pmax from n_u, s_budget last; rows 1, 2
+        and 4 from 0, n_p and n_p + 1, each block set under its row's comment."""
         et, s_pmax, s_budget, z = self._split(x)
         links, pmax, big_z, rho = self.links, self.inst.pmax, self.big_z, self.rho
         seg = links.seg
+        n_u, n_p = len(rho), len(seg)
+        iu, ip = np.arange(n_u), np.arange(n_p)
         z_link = z[seg]
         slope, bend = links.link_slopes(z_link)
         dz = 2.0 * big_z * et  # dz / d et
-        values = np.concatenate([
-            # 1. s_pmax**2 * (power(z) - pmax) / pmax
-            s_pmax**2 * slope * dz[seg] / pmax,
-            2.0 * s_pmax * (links.power(z_link) - pmax) / pmax,
-            # 2. s_budget**2 * (sum z / Z - 1)
-            s_budget**2 * dz / big_z, [2.0 * s_budget * (float(np.sum(z)) / big_z - 1.0)],
-            # 4. (sigma_mult * s_budget**2 + sum_k (w + s_pmax**2) * slope(z)) / rho
-            links.per_uav((links.weight + s_pmax**2) * bend) * dz / rho,
-            2.0 * s_pmax * slope / rho[seg],
-            2.0 * self.sigma_mult * s_budget / rho,
-        ])
-        jac = np.zeros(self.size * self.size)
-        jac[self._jac_at] = values
-        return jac.reshape(self.size, self.size)
+        jac = np.zeros((self.size, self.size))
+        # 1. s_pmax**2 * (power(z) - pmax) / pmax
+        jac[ip, seg] = s_pmax**2 * slope * dz[seg] / pmax
+        jac[ip, n_u + ip] = 2.0 * s_pmax * (links.power(z_link) - pmax) / pmax
+        # 2. s_budget**2 * (sum z / Z - 1)
+        jac[n_p, :n_u] = s_budget**2 * dz / big_z
+        jac[n_p, -1] = 2.0 * s_budget * (float(np.sum(z)) / big_z - 1.0)
+        # 4. (sigma_mult * s_budget**2 + sum_k (w + s_pmax**2) * slope(z)) / rho
+        stat = jac[n_p + 1:]
+        stat[iu, iu] = links.per_uav((links.weight + s_pmax**2) * bend) * dz / rho
+        stat[seg, n_u + ip] = 2.0 * s_pmax * slope / rho[seg]
+        stat[:, -1] = 2.0 * self.sigma_mult * s_budget / rho
+        return jac
 
-    def decode(self, x: np.ndarray) -> KktPoint:
+    def decode(self, x: np.ndarray) -> tuple[RaSolution, KktPoint]:
+        """The solution at x's RB counts and the full KKT point there."""
         _, s_pmax, s_budget, z_serving = self._split(x)
         links, inst = self.links, self.inst
         sol = _solution(inst, z_serving)
         lam_pmax = np.zeros_like(sol.power)
         lam_pmax[links.ch, links.uav] = s_pmax**2
-        return KktPoint(z=sol.z, power=sol.power, lam_pmax=lam_pmax,
-                        lam_budget=self.sigma_mult * s_budget**2,
-                        lam_rate=inst.dwell.entries.T + lam_pmax)
+        return sol, KktPoint(z=sol.z, power=sol.power, lam_pmax=lam_pmax,
+                             lam_budget=self.sigma_mult * s_budget**2,
+                             lam_rate=inst.dwell.entries.T + lam_pmax)
 
 
 def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     """Solve the optimality system by Levenberg-Marquardt root finding.
 
     Runs LM once from `KktSystem.start`, on the system's unknowns with its
-    analytic Jacobian and its stop test `accepts`, and returns the point it
-    reaches only if `accepts` holds there and the point passes the scalar
-    checks ||kkt_residuals|| <= 1e-8 and feasibility within 1e-9; else a
-    SolverConvergenceError names the first check that failed and its value.
+    analytic Jacobian, until `KktSystem.shortfall` finds no failed check,
+    and returns the point it reaches only if none fails on LM's last
+    residual and the point passes the scalar checks ||kkt_residuals|| <=
+    1e-8 and feasibility within 1e-9; else a SolverConvergenceError names
+    the first check that failed and its value.
     Power caps that no allocation meets raise InfeasibleInstanceError,
     decided by the cap floors as in `solve_reduced`.
     """
@@ -609,12 +578,11 @@ def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
                              lam_budget=0.0, lam_rate=np.zeros_like(sol.power),
                              residuals=np.zeros(0))
     system = KktSystem(inst)
-    result = lma.solve(system.residual, system.start,
-                       jacobian=system.jacobian, done=system.accepts)
-    x = result.solution
-    point = system.decode(x)
+    result = lma.solve(system.residual, system.start, jacobian=system.jacobian,
+                       done=lambda x, r: system.shortfall(x, r) is None)
+    sol, point = system.decode(result.solution)
     point.accepted_costs = result.accepted_costs
-    failed = system.shortfall(x, system.residual(x))
+    failed = system.shortfall(result.solution, result.residual)
     if failed is None:
         point.residuals = kkt_residuals(point, inst)
         norm = float(np.linalg.norm(point.residuals))
@@ -623,7 +591,7 @@ def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
                   ("feasibility violation", worst, 1e-9) if not worst <= 1e-9 else None)
     if failed is not None:
         raise SolverConvergenceError(*failed)
-    return _solution(inst, point.z[inst.links.uavs]), point
+    return sol, point
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,13 @@ def _rosenbrock_jacobian(x):
     return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
 
 
+def _assert_residual_at_solution(res, residual_fn):
+    # the returned residual is the one LM last computed, at the solution,
+    # and its squared norm is the last accepted cost, bit for bit
+    assert np.array_equal(res.residual, residual_fn(res.solution))
+    assert float(res.residual @ res.residual) == res.accepted_costs[-1]
+
+
 def test_scalar_root():
     res = lma.solve(lambda x: np.array([x[0] ** 2 - 4.0]), [3.0],
                     jacobian=lambda x: np.array([[2.0 * x[0]]]))
@@ -23,6 +30,7 @@ def test_rosenbrock_from_standard_start():
     res = lma.solve(_rosenbrock, [-1.2, 1.0], jacobian=_rosenbrock_jacobian)
     assert res.converged
     assert res.solution == pytest.approx([1.0, 1.0], abs=1e-6)
+    _assert_residual_at_solution(res, _rosenbrock)
 
 
 def test_linear_residual():
@@ -46,6 +54,7 @@ def test_accepted_costs_strictly_decrease():
     res = lma.solve(residual, [4.0, 2.0], jacobian=jacobian)
     assert len(res.accepted_costs) > 3
     assert all(a > b for a, b in zip(res.accepted_costs, res.accepted_costs[1:]))
+    _assert_residual_at_solution(res, residual)
 
 
 def test_deterministic_iterates():
@@ -126,6 +135,7 @@ def test_nonfinite_trial_points_are_rejected():
     res = lma.solve(residual, [3.0], jacobian=lambda x: np.array([[1.0 / x[0]]]))
     assert res.converged
     assert res.solution[0] == pytest.approx(1.0, abs=1e-6)
+    _assert_residual_at_solution(res, residual)
 
 
 def test_iteration_budget_respected(monkeypatch):
@@ -134,6 +144,7 @@ def test_iteration_budget_respected(monkeypatch):
     res = lma.solve(_rosenbrock, [-1.2, 1.0], jacobian=_rosenbrock_jacobian)
     assert res.iterations == 3
     assert not res.converged
+    _assert_residual_at_solution(res, _rosenbrock)
 
 
 def test_done_stops_at_the_first_accepted_point_it_holds_at():
@@ -179,3 +190,4 @@ def test_accepted_costs_strictly_decrease_under_a_caller_stop_test():
     assert res.converged and res.accepted_costs[-1] <= floor * (1 + 1e-6)
     assert len(res.accepted_costs) > 3
     assert all(a > b for a, b in zip(res.accepted_costs, res.accepted_costs[1:]))
+    _assert_residual_at_solution(res, residual)

@@ -252,6 +252,10 @@ def test_dwell_matrix_invariants():
         DwellMatrix(entries=np.array([[-0.2, 0.1]]))
     with pytest.raises(ValueError):
         DwellMatrix(entries=np.zeros(3))
+    # a NaN entry would otherwise build and be read as unserved (NaN > 0 is false)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            DwellMatrix(entries=np.array([[bad, 0.2]]))
 
 
 def test_dwell_matrix_totals():

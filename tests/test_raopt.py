@@ -188,7 +188,7 @@ def test_scaled_kkt_residual_matches_scalar_reference(rng):
     # system's rows are rows 1, 2 and 4 of `kkt_residuals`; `decode` fills
     # in the powers and delivery multipliers that make rows 3 and 5 vanish
     for system, x in _kkt_iterates(_kkt_fixtures(rng)):
-        point = system.decode(x)
+        _, point = system.decode(x)
         full = raopt.kkt_residuals(point, system.inst)
         _, _, stat_p, stat_z, rate, end = _kkt_block_offsets(system.inst)
         np.testing.assert_allclose(system.residual(x) * system.row_scale,
@@ -497,6 +497,18 @@ def test_instance_validation():
         raopt.RaInstance(dwell=dwell, gains=np.ones((2, 2)), packet_bits=100.0,
                          rb_bandwidth=15e3, total_rbs=6, noise_psd=1e-20,
                          beta=BETA, pmax=1.0)
+    # non-finite gains and scalars: NaN passes a plain `> 0` test, and an
+    # inf would reach `solve_reduced` and come out as a NaN or zero
+    # objective or as an InfeasibleInstanceError that blames the power cap
+    valid = dict(dwell=dwell, gains=np.array([[1e-9]]), packet_bits=100.0, rb_bandwidth=15e3,
+                 total_rbs=6, noise_psd=1e-20, beta=BETA, pmax=1.0)
+    raopt.RaInstance(**valid)
+    for name in ("gains", "packet_bits", "rb_bandwidth", "total_rbs", "noise_psd", "beta",
+                 "pmax", "slot_s"):
+        for bad in (np.nan, np.inf):
+            value = np.array([[bad]]) if name == "gains" else bad
+            with pytest.raises(ValueError, match=name):
+                raopt.RaInstance(**{**valid, name: value})
 
 
 def test_solution_csv_layout():
@@ -785,7 +797,7 @@ def test_kkt_warm_start_residual_is_order_one(rng):
         system = raopt.KktSystem(inst)
         assert np.abs(system.residual(system.start)).max() <= 1.0
         links = inst.links
-        point = system.decode(system.start)
+        _, point = system.decode(system.start)
         assert point.lam_budget == system.sigma_mult
         assert np.all(np.abs(point.lam_pmax[links.ch, links.uav] - 1e-16) <= 1e-30)
         assert np.all(point.z[links.uavs] >= inst.cap_floors)
@@ -798,7 +810,7 @@ def test_kkt_start_and_end_keep_every_cap(rng):
     # too; a link whose floor sets its UAV's may sit at pmax up to rounding
     for system, x in _kkt_iterates(_cap_floor_fixtures(rng)):
         inst, links = system.inst, system.links
-        point = system.decode(x)
+        _, point = system.decode(x)
         assert np.all(point.z[links.uavs] >= inst.cap_floors)
         assert np.all(point.power[links.ch, links.uav] <= inst.pmax * (1 + 1e-12))
 
@@ -843,20 +855,30 @@ def test_kkt_converges_from_the_warm_start(monkeypatch, seed, clusters, rbs):
     # crosscheck-pool pipelines and one at paper scale: the warm start wins
     # in a few LM iterations, because the complementarity rows s**2 * g of
     # the slack constraints start below tolerance (at their double root
-    # s = 0 LM only halves s per step) and LM stops on `KktSystem.accepts`
+    # s = 0 LM only halves s per step) and LM stops once
+    # `KktSystem.shortfall` finds no failed check. The final checks read
+    # LM's last residual, so every residual evaluation is made inside LM
     scenario = generate_scenario(seed, clusters, 1, 10, RadioParams(total_rbs=rbs))
     inst = harness.run_pipeline(scenario, seed=seed).instance
-    iterations = []
-    solve = lma.solve
+    iterations, in_lm, residual_calls = [], [], []
+    solve, residual = lma.solve, raopt.KktSystem.residual
 
     def counted(*args, **kwargs):
+        in_lm.append(None)
         result = solve(*args, **kwargs)
+        in_lm.pop()
         iterations.append(result.iterations)
         return result
 
+    def counted_residual(self, x):
+        residual_calls.append(bool(in_lm))
+        return residual(self, x)
+
     monkeypatch.setattr(raopt.lma, "solve", counted)
+    monkeypatch.setattr(raopt.KktSystem, "residual", counted_residual)
     sol, _ = raopt.solve_kkt(inst)
     assert len(iterations) == 1 and iterations[0] <= 5
+    assert residual_calls and all(residual_calls)
     assert sol.objective == pytest.approx(raopt.solve_reduced(inst).objective, rel=1e-6)
 
 
