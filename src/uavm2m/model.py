@@ -77,8 +77,8 @@ class RadioParams:
             raise ValueError(f"p_tx must be in [0, 1], got {self.p_tx}")
         if not 0 < self.packet_bits < np.inf:
             raise ValueError(f"packet_bits must be finite and > 0, got {self.packet_bits}")
-        if self.total_rbs < 1:
-            raise ValueError(f"total_rbs must be >= 1, got {self.total_rbs}")
+        if not isinstance(self.total_rbs, (int, np.integer)) or self.total_rbs < 1:
+            raise ValueError(f"total_rbs must be a whole number >= 1, got {self.total_rbs!r}")
         if not 0 < self.pmax_w < np.inf:
             raise ValueError(f"pmax_w must be finite and > 0, got {self.pmax_w}")
         if not 2 <= self.pathloss_exp < np.inf:

@@ -42,9 +42,9 @@ every point it returns against the scalar `kkt_residuals`, whose
 `rb_term_derivative` and `channel.required_power` take the same forms on
 their own; the two routes stay independent because they solve different
 systems (the KKT conditions against an equal-marginal search). Both
-decide feasibility the same way, from the per-UAV cap floors (located by
-Newton and checked to the bit against the float power, `_cap_floors`),
-and both start from the same heuristic allocation
+decide feasibility the same way, from the per-UAV cap floors (a Newton
+root per capped link, stepped up the doubles until its float power keeps
+the cap, `_cap_floors`), and both start from the same heuristic allocation
 (`RaInstance.equal_marginal_start`), which is neither route's answer; the
 instance computes each once. Every route
 turns the serving UAVs' RB counts into its solution in `_solution`, which
@@ -182,8 +182,8 @@ class RaInstance:
             )
         if not np.all((0 < gains) & (gains < np.inf)):
             raise ValueError("all link gains must be finite and > 0")
-        if not 1 <= self.total_rbs < np.inf:
-            raise ValueError(f"total_rbs must be finite and >= 1, got {self.total_rbs}")
+        if not isinstance(self.total_rbs, (int, np.integer)) or self.total_rbs < 1:
+            raise ValueError(f"total_rbs must be a whole number >= 1, got {self.total_rbs!r}")
         for name in ("packet_bits", "rb_bandwidth", "noise_psd", "beta", "pmax", "slot_s"):
             if not 0 < (value := getattr(self, name)) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -350,12 +350,6 @@ def max_feasibility_violation(inst: RaInstance, point: KktPoint) -> float:
     return float(worst)
 
 
-# bit offsets of the doubles around each cap crossing that `_cap_floors`
-# reads; `_cap_crossings` lands within 3 ulps of every slack-cap crossing on
-# the benchmark's crosscheck pool and sweep cells
-_WINDOW = np.arange(-16, 17)[:, None]
-
-
 def _cap_crossings(c: np.ndarray, coeff: np.ndarray, pmax: float, big_z: float) -> np.ndarray:
     """Per link, the z in [Z_MIN_ACTIVE, Z] where its power meets pmax.
     With a = ln2 * c / z, power = coeff * ln2 * c * exp(g(a)), where g(a) =
@@ -363,7 +357,8 @@ def _cap_crossings(c: np.ndarray, coeff: np.ndarray, pmax: float, big_z: float) 
     distribution on [0, 1]: increasing and convex, g'(a) = 1 / -expm1(-a) -
     1 / a, and close to linear at large a. Newton on g from the hot end a =
     ln2 * c / Z_MIN_ACTIVE never passes the root, and stops once no step
-    moves a by more than 1e-9 relative."""
+    moves a by more than 1e-9 relative; converging quadratically, it has
+    then reached the root up to rounding."""
     ca = c * _LN2
     target = np.log(pmax / (coeff * ca))
     a, a_min = ca / Z_MIN_ACTIVE, ca / big_z
@@ -379,18 +374,13 @@ def _cap_crossings(c: np.ndarray, coeff: np.ndarray, pmax: float, big_z: float) 
 
 @np.errstate(over="ignore")
 def _cap_floors(inst: RaInstance) -> np.ndarray:
-    """Per serving UAV, the smallest z keeping all its links within pmax:
-    per link, the double a bisection of its float power on [Z_MIN_ACTIVE,
-    Z] ends on. Newton finds each capped link's crossing (`_cap_crossings`)
-    and one `LinkView.power` call reads the doubles within 16 ulps of each.
-    Where those are one hot-to-cold step whose ends clear pmax by twice the
-    kernel's rounding error (2**-52 * (a + 6) relative, a = ln2 * c / z,
-    expm1 within 4 ulps), every comparison the bisection makes outside the
-    window goes the way the exact, decreasing power goes, so it ends on the
-    window's first cold double. The float power is not monotone within 2
-    ulps at 9 of 587 capped crossings in the benchmark pool's first 120
-    instances, and binding caps at small a are nearly flat in z: those
-    links, and any other whose window fails, are bisected to adjacent floats.
+    """Per serving UAV, the largest of its links' floors. A link within the
+    cap at Z_MIN_ACTIVE has its floor there. Each capped link starts at its
+    Newton crossing (`_cap_crossings`), and while the float power at any of
+    them is above pmax, those move up by a doubling number of ulps, clipped
+    at Z. So each floor is a double whose float power keeps the cap, within
+    ~1e-12 relative of the exact crossing; the float power wiggles across
+    pmax near it, over hundreds of doubles where it is nearly flat in z.
     Both routes decide feasibility here, through `RaInstance.cap_floors`:
     the instance is feasible iff every link meets the cap at z = Z and the
     floors fit in the budget; otherwise InfeasibleInstanceError."""
@@ -403,31 +393,16 @@ def _cap_floors(inst: RaInstance) -> np.ndarray:
         raise InfeasibleInstanceError(
             f"link (ch={g}, uav={u}) exceeds the power cap even with all "
             f"{inst.total_rbs} resource blocks", ch=g, uav=u)
-    lo = np.full(len(links.ch), Z_MIN_ACTIVE)
-    capped = links.power(lo) > inst.pmax
-    crossing = lo.copy()
-    crossing[capped] = _cap_crossings(links.c[capped], links.coeff[capped], inst.pmax, big_z)
-    window = (crossing.view(np.int64) + _WINDOW).view(np.float64)
-    power = links.power(window)
-    hot = power > inst.pmax
-    noise = 2.0**-51 * (links.c * _LN2 / window[0] + 6.0) * inst.pmax
-    exact = (capped & (power[0] - inst.pmax > noise) & (inst.pmax - power[-1] > noise)
-             & (np.count_nonzero(hot[1:] != hot[:-1], axis=0) == 1))
-    # a link within the cap at Z_MIN_ACTIVE, or with an exact window, starts
-    # with lo = hi and never moves; for the others power(lo) > pmax >=
-    # power(hi) throughout. Once every midpoint rounds to an end, no bracket
-    # can shrink further and a level leaves lo and hi as they are, so that
-    # test is made once per 8 levels
-    hi = np.where(capped & ~exact, big_z, Z_MIN_ACTIVE)
-    while np.any((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)):
-        for _ in range(8):
-            too_hot = links.power(mid) > inst.pmax
-            np.copyto(lo, mid, where=too_hot)
-            np.copyto(hi, mid, where=~too_hot)
-            mid = 0.5 * (lo + hi)
-    hi = np.where(exact, window[np.argmin(hot, axis=0), np.arange(len(hi))], hi)
+    z = np.full(len(links.ch), Z_MIN_ACTIVE)
+    capped = links.power(z) > inst.pmax
+    z[capped] = _cap_crossings(links.c[capped], links.coeff[capped], inst.pmax, big_z)
+    # Z keeps every cap, so the steps end
+    ulps = 1
+    while np.any(hot := links.power(z) > inst.pmax):
+        z[hot] = np.minimum((z[hot].view(np.int64) + ulps).view(np.float64), big_z)
+        ulps *= 2
     floors = np.full(len(links.uavs), Z_MIN_ACTIVE)
-    np.maximum.at(floors, links.seg, hi)
+    np.maximum.at(floors, links.seg, z)
     if floors.sum() > big_z + 1e-9:
         raise InfeasibleInstanceError(
             "power caps force more resource blocks than the budget holds",

@@ -194,9 +194,11 @@ def test_radio_params_hold_the_range_checks():
                        ("packet_bits", np.inf), ("area_side", np.inf), ("slot_seconds", np.inf),
                        ("carrier_hz", 0.0), ("rb_bandwidth_hz", -15e3), ("noise_psd", np.nan),
                        ("carrier_hz", np.inf), ("pathloss_exp", np.nan),
-                       ("pathloss_exp", np.inf), ("pmax_w", np.inf)]:
+                       ("pathloss_exp", np.inf), ("pmax_w", np.inf),
+                       ("total_rbs", 6.5), ("total_rbs", 6.0), ("total_rbs", np.nan)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             RadioParams(**{field: bad})
+    assert RadioParams(total_rbs=np.int64(6)).total_rbs == 6
 
 
 @pytest.mark.parametrize("lineno,row,field", [

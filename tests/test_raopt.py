@@ -509,6 +509,13 @@ def test_instance_validation():
             value = np.array([[bad]]) if name == "gains" else bad
             with pytest.raises(ValueError, match=name):
                 raopt.RaInstance(**{**valid, name: value})
+    # a fractional budget is an error, not truncated: round_rbs would spend
+    # 6 of 6.5 blocks and brute_force would raise TypeError
+    for bad in (6.5, 6.0):
+        with pytest.raises(ValueError, match="total_rbs must be a whole number"):
+            raopt.RaInstance(**{**valid, "total_rbs": bad})
+    whole = raopt.RaInstance(**{**valid, "total_rbs": np.int64(6)})
+    assert raopt.brute_force(whole).z.tolist() == [6.0]
 
 
 def test_solution_csv_layout():
@@ -528,6 +535,15 @@ def _binding_cap(slack):
     return dataclasses.replace(slack, pmax=0.999 * float(raopt.solve_reduced(slack).power.max()))
 
 
+def _feasible(inst):
+    """Whether the cap floors of `inst` fit in its budget."""
+    try:
+        raopt._cap_floors(inst)
+    except raopt.InfeasibleInstanceError:
+        return False
+    return True
+
+
 def _cap_floor_fixtures(rng):
     """The split-CH instances, 30 random ones, and 10 feasible binding-cap
     instances made from random draws with at least two serving UAVs."""
@@ -539,34 +555,9 @@ def _cap_floor_fixtures(rng):
         if len(slack.active_uavs()) < 2:
             continue
         inst = _binding_cap(slack)
-        try:
-            raopt._cap_floors(inst)
-        except raopt.InfeasibleInstanceError:
-            continue
-        capped.append(inst)
+        if _feasible(inst):
+            capped.append(inst)
     return slacks + capped
-
-
-def test_cap_floors_match_fixed_level_bisection(rng):
-    # the reference bisects every link for a fixed 80 levels, more than any
-    # bracket in [Z_MIN_ACTIVE, Z] needs to reach adjacent floats
-    capped_any = 0
-    for inst in _cap_floor_fixtures(rng):
-        links = inst.links
-        lo = np.full(len(links.ch), raopt.Z_MIN_ACTIVE)
-        hi = np.full(len(links.ch), float(inst.total_rbs))
-        capped = links.power(lo) > inst.pmax
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            too_hot = links.power(mid) > inst.pmax
-            lo = np.where(too_hot, mid, lo)
-            hi = np.where(too_hot, hi, mid)
-        expected = np.full(len(links.uavs), raopt.Z_MIN_ACTIVE)
-        np.maximum.at(expected, links.seg, np.where(capped, hi, raopt.Z_MIN_ACTIVE))
-        floors = raopt._cap_floors(inst)
-        assert np.array_equal(floors, expected)
-        capped_any += bool(np.any(floors > raopt.Z_MIN_ACTIVE))
-    assert capped_any >= 10
 
 
 def _counted_power(monkeypatch):
@@ -583,51 +574,63 @@ def _counted_power(monkeypatch):
 
 
 def test_cap_floors_read_few_powers(monkeypatch, rng):
-    # Newton finds every capped crossing without the kernel, and one power
-    # call reads a window of doubles around all of them: with the check at
-    # Z and the capped test, 3 calls per instance when no link falls back to
-    # bisection, against ~55 for the bisection alone on these draws
+    # Newton finds every capped crossing without the kernel: with the check
+    # at Z and the capped test, 3 calls per instance when every Newton root
+    # keeps its cap, and one more per doubling step up the doubles. The
+    # feasible binding-cap variants of these draws, whose caps sit where
+    # the power is nearly flat in z, take ~4 calls, against ~67 for the
+    # bisection that located their floors before
     draws = [random_instance(rng) for _ in range(50)]
+    binding = [inst for inst in map(_binding_cap, draws) if _feasible(inst)]
     calls = _counted_power(monkeypatch)
     capped = sum(bool(np.any(raopt._cap_floors(inst) > raopt.Z_MIN_ACTIVE)) for inst in draws)
     assert len(calls) / len(draws) <= 10 and capped >= 25
+    calls.clear()
+    for inst in binding:
+        raopt._cap_floors(inst)
+    assert len(calls) / len(binding) <= 6 and len(binding) >= 10
 
 
-def _bisected_crossings(inst):
-    """Per link, where a bisection on [Z_MIN_ACTIVE, Z] for a fixed 80
-    levels ends: the first cold double (Z_MIN_ACTIVE if within the cap there)."""
+def _crossings_in_long_double(inst):
+    """Per link, the exact z where its power meets pmax, bisected in
+    np.longdouble on [Z_MIN_ACTIVE, Z] (Z_MIN_ACTIVE if within the cap there)."""
     links = inst.links
-    lo = np.full(len(links.ch), raopt.Z_MIN_ACTIVE)
-    hi = np.full(len(links.ch), float(inst.total_rbs))
-    capped = links.power(lo) > inst.pmax
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        too_hot = links.power(mid) > inst.pmax
+    c, coeff = links.c.astype(np.longdouble), links.coeff.astype(np.longdouble)
+    ln2 = np.log(np.longdouble(2))
+    lo = np.full(len(c), np.longdouble(raopt.Z_MIN_ACTIVE))
+    hi = np.full(len(c), np.longdouble(inst.total_rbs))
+    capped = coeff * np.expm1(ln2 * c / lo) * lo > inst.pmax
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        too_hot = coeff * np.expm1(ln2 * c / mid) * mid > inst.pmax
         lo = np.where(too_hot, mid, lo)
         hi = np.where(too_hot, hi, mid)
     return np.where(capped, hi, raopt.Z_MIN_ACTIVE)
 
 
-def test_cap_floors_fall_back_to_bisection_bit_for_bit(monkeypatch):
-    # a crosscheck-pool plan where the float power at one capped crossing is
-    # not monotone within the doubles next to it, so where the bisection
-    # ends depends on its path; and binding-cap variants, whose caps sit at
-    # small exponents where the power is nearly flat in z. Such links are
-    # bisected, and the floors equal the bisection's bit for bit
+def test_cap_floors_keep_the_cap_next_to_the_exact_crossing(rng):
+    # every link's float power at its UAV's floor keeps the cap, and each
+    # floor lies within 1e-12 relative of the exact crossing, also where
+    # the float power wiggles across pmax for hundreds of doubles (binding
+    # caps at small a = ln2 * c / z). The fixtures add a crosscheck-pool
+    # plan whose float power is not monotone within the doubles next to
+    # one crossing, and its binding-cap variant
     scenario = generate_scenario(1012411160, 5, 1, 10, RadioParams(total_rbs=12))
     plan = harness.run_pipeline(scenario, seed=1012411160).instance
-    links = plan.links
-    ends = _bisected_crossings(plan)
-    window = (ends.view(np.int64) + np.arange(-4, 5)[:, None]).view(np.float64)
-    hot = links.power(window) > plan.pmax
+    crossings = _crossings_in_long_double(plan).astype(float)
+    window = (crossings.view(np.int64) + np.arange(-4, 5)[:, None]).view(np.float64)
+    hot = plan.links.power(window) > plan.pmax
     assert np.any(np.count_nonzero(hot[1:] != hot[:-1], axis=0) > 1)
-    for inst in (plan, _binding_cap(plan), _binding_cap(split_ch_instance(6))):
-        expected = np.full(len(inst.links.uavs), raopt.Z_MIN_ACTIVE)
-        np.maximum.at(expected, inst.links.seg, _bisected_crossings(inst))
-        calls = _counted_power(monkeypatch)
-        assert np.array_equal(raopt._cap_floors(inst), expected)
-        assert len(calls) > 10  # the bisection ran
-        monkeypatch.undo()
+    capped_any = 0
+    for inst in [*_cap_floor_fixtures(rng), plan, _binding_cap(plan)]:
+        links = inst.links
+        floors = raopt._cap_floors(inst)
+        assert np.all(links.power(floors[links.seg]) <= inst.pmax)
+        exact = np.full(len(links.uavs), np.longdouble(raopt.Z_MIN_ACTIVE))
+        np.maximum.at(exact, links.seg, _crossings_in_long_double(inst))
+        assert np.all(np.abs(floors - exact) <= 1e-12 * exact)
+        capped_any += bool(np.any(floors > raopt.Z_MIN_ACTIVE))
+    assert capped_any >= 10
 
 
 def _levels(inst):
