@@ -62,8 +62,9 @@ class QueueTrace:
     def __post_init__(self):
         # the CSV writer reads the values' float64 bits
         object.__setattr__(self, "backlog", np.asarray(self.backlog, dtype=np.float64))
-        if self.backlog.shape[1] != self.horizon + 1:
-            raise ValueError("backlog length must be horizon + 1")
+        if self.backlog.ndim != 2 or self.backlog.shape[1] != self.horizon + 1:
+            raise ValueError(f"backlog must have shape (num_chs, horizon + 1 = "
+                             f"{self.horizon + 1}), got {self.backlog.shape}")
         # min and max propagate NaN, which then fails both tests
         if not (self.backlog.min(initial=0.0) >= 0 and self.backlog.max(initial=0.0) < np.inf):
             raise ValueError("backlog must be finite and nonnegative")
@@ -241,26 +242,8 @@ def is_rate_stable(trace: QueueTrace, epsilon: float) -> bool:
 # pieces and text held at once
 _TRACE_BLOCK_SLOTS = 2048
 _TRACE_WRITE_SLOTS = 512
-# 10**k for k in [-300, 308], indexed by k + 300
-_POW10 = 10.0 ** np.arange(-300.0, 309.0)
-
-
-def _nine_digit_keys(x: np.ndarray) -> np.ndarray:
-    """rint(x * 10**(8 - e)) for e = floor(log10 |x|) clipped to [-300, 308],
-    tagged with e: equal keys mostly, not always, mean equal '%.9g' strings."""
-    k = np.abs(x)
-    with np.errstate(divide="ignore"):
-        np.log10(k, out=k)
-    np.floor(k, out=k)
-    np.clip(k, -300.0, 308.0, out=k)
-    np.subtract(308.0, k, out=k)  # the index of 10**(8 - e) in _POW10
-    key = _POW10[k.astype(np.intp)]
-    key *= x
-    np.rint(key, out=key)
-    # the key stays below 2**34 when e is right, so the tag keeps decades apart
-    k *= 2.0**34
-    key += k
-    return key
+# 10**k for k in [0, 22], the powers of ten that are exact doubles
+_POW10 = np.array([float(10**k) for k in range(23)])
 
 
 def _format_lines(x: np.ndarray) -> list[str]:
@@ -269,56 +252,39 @@ def _format_lines(x: np.ndarray) -> list[str]:
 
 
 def _nine_digit_lines(values: np.ndarray) -> np.ndarray:
-    """`f"{x:.9g}\\n"` for each value of a 1-D float64 array, as an object
-    array, formatting each distinct string about once.
+    """`f"{x:.9g}\\n"` for each value of a 1-D float64 array of values >= 0,
+    as an object array, formatting each distinct string once, bar rare values.
 
-    The values are sorted by their bits, which for values >= 0 is their
-    order, with every -0.0 before 0.0. Sorted neighbours with the same
-    `_nine_digit_keys` form a group. Each group's first value is formatted,
-    and its last where the bits differ; when the two strings agree, every
-    member takes that string (see `write_trace_csv` for why), and a group
-    whose ends differ is formatted value by value. The ends are compared by
-    their bits, because -0.0 == 0.0 but '%.9g' prints '-0' and '0'
-    (`np.unique` would merge them). The keys only decide the grouping, never
-    the text.
+    With k = 8 - floor(log10 x) clipped to [0, 22] and y = x * 10**k, x is
+    safe when 1e8 <= y, rint(y) <= 1e9 and y is more than 2**-22 from a
+    half-integer. A safe x keys on (rint(y), k), which fixes its string (see
+    `write_trace_csv`). The rest (zeros, dust below ~1e-14, values from ~1e9
+    up, near-ties) key on their bits, so -0.0 ('-0') and 0.0 ('0') stay
+    apart. One value per key is formatted, in array order, so the strings
+    lie in memory about in the order the rows read them (in value order,
+    distinct values were written ~20% slower, from cache misses).
     """
-    n = values.size
-    order = np.argsort(values.view(np.int64))
-    bits = values.view(np.int64)[order]
-    starts = _group_starts(bits)
-    ends = np.append(starts[1:], n)[:starts.size] - 1  # empty when values is
-    x = bits.view(np.float64)
-    # each group's head is the value at its first sorted position; the heads
-    # are formatted in the order of those positions in `values`, so that the
-    # strings lie in memory about in the order the rows read them (formatted
-    # in value order, distinct values were written ~20% slower, from cache
-    # misses)
-    head = np.zeros(n, dtype=bool)
-    head[order[starts]] = True
-    lines = _format_lines(values[head])
-    line_of = np.cumsum(head)[order[starts]] - 1
-    group = np.repeat(line_of, ends - starts + 1)
-    spans = np.flatnonzero(bits[starts] != bits[ends])
-    tops = _format_lines(x[ends[spans]])
-    for k, top in zip(spans.tolist(), tops):
-        if top != lines[line_of[k]]:
-            a, b = starts[k], ends[k] + 1
-            group[a:b] = np.arange(len(lines), len(lines) + b - a)
-            lines += _format_lines(x[a:b])
-    rows = np.empty(n, dtype=np.intp)
-    rows[order] = group
-    return np.array(lines, dtype=object)[rows]
-
-
-def _group_starts(bits: np.ndarray) -> np.ndarray:
-    """Where the groups of sorted float bits start: at each new
-    `_nine_digit_keys` value. (Apart from `_nine_digit_lines` so that the
-    keys are freed before the strings are built.)"""
-    key = _nine_digit_keys(bits.view(np.float64))
-    new = np.empty(bits.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.clip(8.0 - np.floor(np.log10(values)), 0.0, 22.0)
+        y = _POW10[k.astype(np.intp)] * values
+        m = np.rint(y)
+        safe = (y >= 1e8) & (m <= 1e9) & (np.abs(y - m) < 0.5 - 2.0**-22)
+        # (rint(y), k) as one integer below 2**35; inverted, it lies in
+        # [-2**35, -1], where no bits of a value >= 0 (or -0.0) lie
+        key = np.where(safe, ~(m + k * 2.0**30).astype(np.int64), values.view(np.int64))
+    del k, y, m, safe  # freed before the strings are built
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(key.size, dtype=bool)  # where each key starts, in sorted order
     new[:1] = True
     np.not_equal(key[1:], key[:-1], out=new[1:])
-    return np.flatnonzero(new)
+    heads = order[new]  # one value of each key
+    head = np.zeros(key.size, dtype=bool)
+    head[heads] = True
+    lines = _format_lines(values[head])
+    rows = np.empty(key.size, dtype=np.intp)
+    rows[order] = (np.cumsum(head)[heads] - 1)[np.cumsum(new) - 1]  # each key's line
+    return np.array(lines, dtype=object)[rows]
 
 
 def write_trace_csv(trace: QueueTrace, out: IO[str]) -> None:
@@ -327,12 +293,16 @@ def write_trace_csv(trace: QueueTrace, out: IO[str]) -> None:
 
     Each block goes through `_nine_digit_lines`, which formats each distinct
     9-digit string once; the rows are joined from the slot number, the CH id
-    and that string. This is exact because correctly rounded '%.9g' is
-    monotone in x (Gay, "Correctly rounded binary-decimal and decimal-binary
-    conversions", 1990): for lo <= x <= hi, round9(lo) <= round9(x) <=
-    round9(hi), so when lo and hi print the same, so does every x between
-    them. '%.9g' and f'{x:.9g}' use the same float conversion, so the bytes
-    equal a per-row f-string loop's.
+    and that string. This is exact because a safe key is the correctly
+    rounded mantissa: 10**k is an exact double and y < 2**30, so y is within
+    2**-24 of P = x * 10**k, and as y is more than 2**-22 from a
+    half-integer, P rounds to rint(y) with no tie. So x to 9 significant
+    digits is rint(y) * 10**-k (also where P < 1e8 <= y: x then rounds up
+    to 1e8 * 10**-k). Correctly rounded '%.9g' (Gay, "Correctly rounded
+    binary-decimal and decimal-binary conversions", 1990) prints that number
+    in a form set by its exponent alone, so one key prints one string.
+    '%.9g' and f'{x:.9g}' use the same float conversion, so the bytes equal
+    a per-row f-string loop's.
     """
     out.write("slot,ch_id,backlog\n")
     num_chs = trace.num_chs

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -225,6 +226,19 @@ _EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.1e-15, 3e-16,
                 np.nextafter(1234.567895, 0), 1234.567895, np.nextafter(1234.567895, 2e3)]
 
 
+def _around(x):
+    return [np.nextafter(x, 0), x, np.nextafter(x, np.inf)]
+
+
+# the ends of the 9-digit key's guard: 8 - floor(log10 x) of 22 and 23 (x near
+# 1e-14 and 1e-15, where 10**k stops being an exact double), both sides of
+# 10**e, where log10 can round onto the integer e, and the doubles around two
+# more 9-digit ties, 12345678.75 (exactly a tie) and 5.000000005e-12
+_EDGE_VALUES += [*_around(1e-14), 1.23456789e-14, 9.87654321e-15, *_around(1e-15),
+                 *(v for e in (-13, -9, -5, -1, 0, 1, 2, 5, 8) for v in _around(10.0**e)),
+                 *_around(12345678.75), *_around(5.000000005e-12)]
+
+
 _ANY_BACKLOG = hnp.arrays(
     np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
     elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
@@ -247,11 +261,10 @@ def test_nine_digit_lines_format_every_value(backlog):
 
 
 def test_nine_digit_lines_split_a_group_whose_ends_differ():
-    # neighbouring doubles around the tie 55326.42745: the same 9-digit key,
-    # but the first prints 55326.4274 and the second 55326.4275
+    # neighbouring doubles around the tie 55326.42745: the first prints
+    # 55326.4274 and the second 55326.4275
     pair = [np.nextafter(55326.42745, 0), 55326.42745]
-    keys = queueing._nine_digit_keys(np.array(pair))
-    assert keys[0] == keys[1] and f"{pair[0]:.9g}" != f"{pair[1]:.9g}"
+    assert f"{pair[0]:.9g}" != f"{pair[1]:.9g}"
     values = np.array(pair * 3 + [-0.0, 0.0, 0.0, -0.0, 1.5, 1.5])
     lines = queueing._nine_digit_lines(values).tolist()
     assert lines == [f"{x:.9g}\n" for x in values]
@@ -286,6 +299,21 @@ def test_trace_csv_formats_an_integer_backlog_as_floats():
     assert trace.backlog.dtype == np.float64
     assert _block_csv(trace) == _per_row_csv(trace)
     assert _block_csv(trace).splitlines()[1:3] == ["0,0,0", "0,1,1"]
+
+
+def test_trace_csv_formats_each_distinct_string_about_once():
+    # a simulated 20-CH trace over three blocks and a bit; the count of
+    # formatted values does not depend on the machine
+    scenario = _scenario(seed=3, clusters=20)
+    plan = scheduler.plan_min_fleet(queueing.arrival_rates(scenario), 1.0, 0.0)
+    trace = queueing.simulate(scenario, plan.dwell, horizon=3 * BLOCK + 100, seed=5)
+    with mock.patch.object(queueing, "_format_lines", wraps=queueing._format_lines) as fmt:
+        text = _block_csv(trace)
+    assert text == _per_row_csv(trace)
+    formatted = sum(call.args[0].size for call in fmt.call_args_list)
+    distinct = sum(len({f"{x:.9g}" for x in trace.backlog[:, a:a + BLOCK].ravel()})
+                   for a in range(0, trace.horizon + 1, BLOCK))
+    assert trace.horizon + 1 > 3 * BLOCK and formatted <= 1.1 * distinct
 
 
 def test_trace_csv_of_no_chs_is_the_header():
@@ -454,6 +482,12 @@ def test_simulate_rejects_non_finite_or_negative_service_rate(rate):
     plan = DwellMatrix(entries=np.array([[0.5, 0.5]]))
     with pytest.raises(ValueError, match="service_rate"):
         queueing.simulate(scenario, plan, service_rate=rate, horizon=10, seed=0)
+
+
+def test_queue_trace_rejects_a_backlog_that_is_not_2d_or_of_the_wrong_length():
+    for backlog, horizon in [(np.zeros(11), 10), (np.zeros((2, 3, 4)), 2), (np.zeros((2, 11)), 9)]:
+        with pytest.raises(ValueError, match=re.escape(f"got {backlog.shape}")):
+            queueing.QueueTrace(backlog=backlog, horizon=horizon, seed=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -math.inf])
