@@ -38,17 +38,18 @@ All routes read `RaInstance.links`, one array view of the served links
 (`LinkView`), whose `power` and `link_slopes` are the one per-link kernel
 (expm1 form, no cancellation at small c/z). The KKT route builds its
 rescaled residual and analytic Jacobian on it (`KktSystem`) and checks
-every point it returns against the scalar `kkt_residuals`, whose
-`rb_term_derivative` and `channel.required_power` take the same forms on
-their own; the two routes stay independent because they solve different
-systems (the KKT conditions against an equal-marginal search). Both
-decide feasibility the same way, from the per-UAV cap floors (a Newton
-root per capped link, stepped up the doubles until its float power keeps
-the cap, `_cap_floors`), and both start from the same heuristic allocation
+every point it returns against `kkt_residuals` and
+`max_feasibility_violation`, array code on the same formulas written apart
+from `LinkView` (`rb_term_derivative`, `channel.required_power`); the two
+routes stay independent because they solve different systems (the KKT
+conditions against an equal-marginal search). Both decide feasibility
+the same way, from the per-UAV cap floors (a Newton root per capped link,
+stepped up the doubles until its float power keeps the cap,
+`_cap_floors`), and both start from the same heuristic allocation
 (`RaInstance.equal_marginal_start`), which is neither route's answer; the
-instance computes each once. Every route
-turns the serving UAVs' RB counts into its solution in `_solution`, which
-puts the whole budget at UAV 0, at zero power, when no link is served.
+instance computes each once. Every route turns the serving UAVs' RB
+counts into its solution in `_solution`, which puts the whole budget at
+UAV 0, at zero power, when no link is served.
 """
 
 from __future__ import annotations
@@ -221,11 +222,9 @@ class RaInstance:
         """(ch, uav) links with positive dwell, ch-major order."""
         return list(zip(self.links.ch.tolist(), self.links.uav.tolist()))
 
-    def active_uavs(self) -> list[int]:
-        return self.links.uavs.tolist()
-
-    def pair_power(self, g: int, u: int, z: float) -> float:
-        """Minimum power for link (g, u) at z resource blocks."""
+    def pair_power(self, g, u, z):
+        """Minimum power for link (g, u) at z resource blocks
+        (`channel.required_power`); element-wise over arrays of links."""
         return channel.required_power(
             self.packet_bits, z, self.rb_bandwidth, self.dwell.entries[u, g],
             self.beta, self.gains[g, u], self.noise_psd, self.slot_s,
@@ -258,16 +257,14 @@ class KktPoint:
     accepted_costs: list[float] | None = None  # ||r||^2 history of the winning solve
 
 
-def rb_term_derivative(c: float, z: float) -> float:
+def rb_term_derivative(c, z):
     """d/dz of (2**(c/z) - 1) * z, the RB-count sensitivity of required power
-    up to the per-link coefficient: expm1(a) * (1 - a) - a with a = ln2 * c / z.
-    Strictly negative for c > 0; -inf once the value leaves the float range."""
+    up to the per-link coefficient: expm1(a) * (1 - a) - a with a = ln2 * c / z,
+    element-wise over scalars or arrays. Strictly negative for c > 0; -inf
+    once the value leaves the float range."""
     a = c / z * _LN2
-    try:
-        em1 = math.expm1(a)
-    except OverflowError:  # the factor (1 - a) is negative there
-        return -math.inf
-    return em1 * (1.0 - a) - a
+    with np.errstate(over="ignore"):
+        return np.expm1(a) * (1.0 - a) - a
 
 
 @np.errstate(over="ignore")
@@ -306,48 +303,44 @@ def kkt_residuals(point: KktPoint, inst: RaInstance) -> np.ndarray:
       5. per link: lam_rate_gu * (required_power_gu(z_u) - P_gu)     [n_p]
 
     All entries are zero exactly at an optimal point of the relaxed program.
+    Array code on `rb_term_derivative` and `channel.required_power`, one
+    call per block; no `LinkView` kernel is read.
     """
-    pairs = inst.active_pairs()
-    uavs = inst.active_uavs()
+    links = inst.links
+    ch, uav, uavs = links.ch, links.uav, links.uavs
     z = np.asarray(point.z, dtype=float)
     power = np.asarray(point.power, dtype=float)
     if z.shape != (inst.num_uavs,) or power.shape != (inst.num_chs, inst.num_uavs):
         raise ValueError("point dimensions do not match instance")
-    for u in uavs:
-        if z[u] <= 0:
-            raise ValueError(f"z[{u}] <= 0 makes the delivery term singular")
-
-    big_z = float(inst.total_rbs)
-    d = inst.dwell.entries
-    res = [point.lam_pmax[g, u] * (power[g, u] - inst.pmax) for g, u in pairs]
-    res.append(point.lam_budget * (sum(z[u] for u in uavs) - big_z))
-    res += [d[u, g] + point.lam_pmax[g, u] - point.lam_rate[g, u] for g, u in pairs]
-    stat_z = dict.fromkeys(uavs, point.lam_budget)
-    for (g, u), c, coeff in zip(pairs, inst.links.c.tolist(), inst.links.coeff.tolist()):
-        stat_z[u] += point.lam_rate[g, u] * coeff * rb_term_derivative(c, float(z[u]))
-    res += stat_z.values()
-    res += [point.lam_rate[g, u] * (inst.pair_power(g, u, float(z[u])) - power[g, u])
-            for g, u in pairs]
-    return np.array(res)
+    if np.any(singular := z[uavs] <= 0):
+        raise ValueError(f"z[{uavs[np.argmax(singular)]}] <= 0 makes the delivery term singular")
+    p, lam_pmax, lam_rate = power[ch, uav], point.lam_pmax[ch, uav], point.lam_rate[ch, uav]
+    # sums in the order the rows are written: z in UAV order, and each RB
+    # stationarity row from lam_budget through its links
+    n_u = len(uavs)
+    stat_z = np.bincount(np.concatenate([np.arange(n_u), links.seg]), weights=np.concatenate([
+        np.full(n_u, point.lam_budget),
+        lam_rate * links.coeff * rb_term_derivative(links.c, z[uav])]))
+    return np.concatenate([
+        lam_pmax * (p - inst.pmax),
+        [point.lam_budget * (sum(z[uavs].tolist()) - inst.total_rbs)],
+        inst.dwell.entries[uav, ch] + lam_pmax - lam_rate,
+        stat_z,
+        lam_rate * (inst.pair_power(ch, uav, z[uav]) - p),
+    ])
 
 
 def max_feasibility_violation(inst: RaInstance, point: KktPoint) -> float:
     """Largest violation of the primal/dual feasibility conditions: tight
     delivery, z_u > 0, 0 < P <= pmax, sum z <= Z, multipliers >= 0."""
-    pairs = inst.active_pairs()
-    uavs = inst.active_uavs()
-    worst = 0.0
-    for g, u in pairs:
-        worst = max(worst, inst.pair_power(g, u, float(point.z[u])) - point.power[g, u])
-        worst = max(worst, point.power[g, u] - inst.pmax)
-        worst = max(worst, -point.power[g, u])
-        worst = max(worst, -point.lam_rate[g, u])
-        worst = max(worst, -point.lam_pmax[g, u])
-    for u in uavs:
-        worst = max(worst, -point.z[u])
-    worst = max(worst, sum(float(point.z[u]) for u in uavs) - inst.total_rbs)
-    worst = max(worst, -point.lam_budget)
-    return float(worst)
+    links = inst.links
+    ch, uav, uavs = links.ch, links.uav, links.uavs
+    z = np.asarray(point.z, dtype=float)
+    p = point.power[ch, uav]
+    return float(np.max(np.concatenate([
+        inst.pair_power(ch, uav, z[uav]) - p, p - inst.pmax, -p,
+        -point.lam_rate[ch, uav], -point.lam_pmax[ch, uav], -z[uavs],
+        [0.0, sum(z[uavs].tolist()) - inst.total_rbs, -point.lam_budget]])))
 
 
 def _cap_crossings(c: np.ndarray, coeff: np.ndarray, pmax: float, big_z: float) -> np.ndarray:
@@ -437,6 +430,8 @@ class KktSystem:
     budget, RB stationarity), row k divided by `row_scale[k]`; the
     RB-stationarity rows are normalized at the warm start `start`, built here.
     Scaling rows and unknowns by positive constants leaves the roots unchanged.
+    `residual` keeps the link powers and slopes with its x; `jacobian`, which
+    LM asks for at that x, reads them there.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -462,6 +457,7 @@ class KktSystem:
                                      np.full(n_p, np.sqrt(1e-16)), [1.0]])
         self.row_scale = np.concatenate([
             np.full(n_p, inst.pmax), [self.sigma_mult * self.big_z], self.rho])
+        self._kept = None, ()
 
     def _split(self, x: np.ndarray):
         """et, s_pmax, s_budget, and the RB counts z of the serving UAVs."""
@@ -474,11 +470,12 @@ class KktSystem:
         _, s_pmax, s_budget, z = self._split(x)
         links, pmax = self.links, self.inst.pmax
         z_link = z[links.seg]
+        self._kept = x.copy(), (links.power(z_link), *links.link_slopes(z_link))
+        power, slope, _ = self._kept[1]
         return np.concatenate([
-            s_pmax**2 * (links.power(z_link) - pmax) / pmax,
+            s_pmax**2 * (power - pmax) / pmax,
             [s_budget**2 * (float(np.sum(z)) / self.big_z - 1.0)],
-            (self.sigma_mult * s_budget**2
-             + links.per_uav((links.weight + s_pmax**2) * links.link_slopes(z_link)[0]))
+            (self.sigma_mult * s_budget**2 + links.per_uav((links.weight + s_pmax**2) * slope))
             / self.rho,
         ])
 
@@ -506,13 +503,14 @@ class KktSystem:
         seg = links.seg
         n_u, n_p = len(rho), len(seg)
         iu, ip = np.arange(n_u), np.arange(n_p)
-        z_link = z[seg]
-        slope, bend = links.link_slopes(z_link)
+        if not np.array_equal(self._kept[0], x):
+            self.residual(x)  # keeps the link terms at x
+        power, slope, bend = self._kept[1]
         dz = 2.0 * big_z * et  # dz / d et
         jac = np.zeros((self.size, self.size))
         # 1. s_pmax**2 * (power(z) - pmax) / pmax
         jac[ip, seg] = s_pmax**2 * slope * dz[seg] / pmax
-        jac[ip, n_u + ip] = 2.0 * s_pmax * (links.power(z_link) - pmax) / pmax
+        jac[ip, n_u + ip] = 2.0 * s_pmax * (power - pmax) / pmax
         # 2. s_budget**2 * (sum z / Z - 1)
         jac[n_p, :n_u] = s_budget**2 * dz / big_z
         jac[n_p, -1] = 2.0 * s_budget * (float(np.sum(z)) / big_z - 1.0)
@@ -541,7 +539,7 @@ def solve_kkt(inst: RaInstance) -> tuple[RaSolution, KktPoint]:
     Runs LM once from `KktSystem.start`, on the system's unknowns with its
     analytic Jacobian, until `KktSystem.shortfall` finds no failed check,
     and returns the point it reaches only if none fails on LM's last
-    residual and the point passes the scalar checks ||kkt_residuals|| <=
+    residual and the point passes the checks ||kkt_residuals|| <=
     1e-8 and feasibility within 1e-9; else a SolverConvergenceError names
     the first check that failed and its value.
     Power caps that no allocation meets raise InfeasibleInstanceError,

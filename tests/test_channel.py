@@ -125,3 +125,63 @@ def test_rb_cost_convexity_witness(rng):
         f = lambda z: (2.0 ** (c / z) - 1.0) * z
         mid = f((a + b) / 2.0)
         assert mid <= (f(a) + f(b)) / 2.0 + 1e-12 * max(f(a), f(b))
+
+
+def _link_arrays(rng, n=200):
+    return dict(z=rng.uniform(0.5, 24, n), bz=rng.uniform(1e3, 1e6, n),
+                dwell=rng.uniform(0.01, 1.0, n), beta=rng.uniform(0.05, 1.0, n),
+                gain=10.0 ** rng.uniform(-14, -8, n), n0=10.0 ** rng.uniform(-21, -17, n),
+                slot_s=rng.uniform(0.5, 2.0, n))
+
+
+def test_array_inputs_equal_element_wise_scalar_calls(rng):
+    link = _link_arrays(rng)
+    bits = rng.uniform(10, 5_000, len(link["z"]))
+    power = channel.required_power(bits, **link)
+    back = channel.achievable_bits(power, **link)
+    for i, (b, p) in enumerate(zip(bits, power)):
+        one = {name: float(v[i]) for name, v in link.items()}
+        assert channel.required_power(float(b), **one) == p
+        assert channel.achievable_bits(float(p), **one) == back[i]
+    # scalars broadcast against arrays
+    spread = channel.required_power(100.0, link["z"], 15e3, 0.5, 0.1, 1e-12, 1e-20)
+    assert spread.tolist() == [channel.required_power(100.0, z, 15e3, 0.5, 0.1, 1e-12, 1e-20)
+                               for z in link["z"]]
+
+
+@pytest.mark.parametrize("name", ["packet_bits", "z", "bz", "dwell", "beta", "gain", "n0",
+                                  "slot_s", "power"])
+def test_one_bad_element_names_its_field(rng, name):
+    # power is only checked against < 0, so a nan power passes, as it does
+    # in a scalar call
+    for bad in (-1.0,) if name == "power" else (-1.0, math.nan):
+        values = {"packet_bits": np.full(5, 100.0), "power": np.full(5, 1e-6),
+                  **_link_arrays(rng, n=5)}
+        values[name][3] = bad
+        if name != "power":
+            with pytest.raises(ValueError, match=f"^{name} must be > 0, got {bad}$"):
+                channel.required_power(**{k: v for k, v in values.items() if k != "power"})
+        if name != "packet_bits":
+            op = ">=" if name == "power" else ">"
+            with pytest.raises(ValueError, match=f"^{name} must be {op} 0, got {bad}$"):
+                channel.achievable_bits(**{k: v for k, v in values.items()
+                                           if k != "packet_bits"})
+
+
+def test_zero_dwell_anywhere_is_an_infeasible_link(rng):
+    link = _link_arrays(rng, n=5)
+    link["dwell"][2] = 0.0
+    with pytest.raises(channel.InfeasibleLinkError):
+        channel.required_power(np.full(5, 100.0), **link)
+    with pytest.raises(channel.InfeasibleLinkError):
+        channel.required_power(100.0, 1.0, 15e3, link["dwell"], 0.1, 1e-12, 1e-20)
+
+
+def test_overflow_gives_inf_without_a_warning():
+    # exponent 1e4 * ln2 is past expm1's range, and 1e300 W past log2's
+    # argument; pytest turns any warning into an error
+    power = channel.required_power(np.array([100.0, 1.5e8]), 1.0, 15e3, 1.0, 0.1, 1e-12, 1e-20)
+    assert np.isfinite(power[0]) and power[1] == math.inf
+    assert channel.required_power(1.5e8, 1.0, 15e3, 1.0, 0.1, 1e-12, 1e-20) == math.inf
+    bits = channel.achievable_bits(np.array([1e-6, 1e300]), 1.0, 15e3, 1.0, 1.0, 1e8, 1e-300)
+    assert np.isfinite(bits[0]) and bits[1] == math.inf

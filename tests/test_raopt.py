@@ -1,7 +1,10 @@
+import collections
 import dataclasses
 import io
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from conftest import BETA, WAVELENGTH, random_instance, single_link_instance, sp
 
 def _kkt_block_offsets(inst):
     """Start offsets of the five residual blocks, in stacked order."""
-    n_u = len(inst.active_uavs())
+    n_u = len(inst.links.uavs)
     n_p = len(inst.active_pairs())
     pmax = 0
     budget = pmax + n_p
@@ -26,7 +29,7 @@ def _kkt_block_offsets(inst):
 
 def _zeroed_point(inst, z_value):
     z = np.zeros(inst.num_uavs)
-    for u in inst.active_uavs():
+    for u in inst.links.uavs:
         z[u] = z_value
     return raopt.KktPoint(
         z=z,
@@ -49,7 +52,7 @@ def test_residuals_with_zero_multipliers_reduce_to_dwell_totals(rng):
             assert res[stat_p + k] == pytest.approx(d[u, g], rel=1e-12)
         # every product block vanishes with zero multipliers
         assert np.all(res[:stat_p] == 0)
-        assert np.all(res[stat_z:stat_z + len(inst.active_uavs())] == 0)
+        assert np.all(res[stat_z:stat_z + len(inst.links.uavs)] == 0)
         assert np.all(res[rate:end] == 0)
 
 
@@ -78,6 +81,60 @@ def test_residuals_dimension_check():
         raopt.kkt_residuals(point, inst)
 
 
+def _checks_by_pair(point, inst):
+    """`kkt_residuals` and `max_feasibility_violation` as per-pair loops on
+    the scalar formulas, the reference for their array code."""
+    pairs = inst.active_pairs()
+    uavs = inst.links.uavs.tolist()
+    z, power, d = point.z, point.power, inst.dwell.entries
+    res = [point.lam_pmax[g, u] * (power[g, u] - inst.pmax) for g, u in pairs]
+    res.append(point.lam_budget * (sum(z[u] for u in uavs) - inst.total_rbs))
+    res += [d[u, g] + point.lam_pmax[g, u] - point.lam_rate[g, u] for g, u in pairs]
+    stat_z = dict.fromkeys(uavs, point.lam_budget)
+    for (g, u), c, coeff in zip(pairs, inst.links.c.tolist(), inst.links.coeff.tolist()):
+        stat_z[u] += point.lam_rate[g, u] * coeff * raopt.rb_term_derivative(c, float(z[u]))
+    res += stat_z.values()
+    res += [point.lam_rate[g, u] * (inst.pair_power(g, u, float(z[u])) - power[g, u])
+            for g, u in pairs]
+    worst = 0.0
+    for g, u in pairs:
+        worst = max(worst, inst.pair_power(g, u, float(z[u])) - power[g, u],
+                    power[g, u] - inst.pmax, -power[g, u], -point.lam_rate[g, u],
+                    -point.lam_pmax[g, u])
+    for u in uavs:
+        worst = max(worst, -z[u])
+    worst = max(worst, sum(float(z[u]) for u in uavs) - inst.total_rbs, -point.lam_budget)
+    return np.array(res), worst
+
+
+def test_array_checks_match_the_per_pair_loops(rng):
+    # a split-CH plan, its binding-cap variant, the plan with a fourth CH
+    # that sends nothing, and three serving UAVs on two blocks; at the
+    # KKT route's start and end points, where rows cancel, and at random
+    # points, where every row and every feasibility condition is in play
+    split = split_ch_instance(6)
+    idle = dataclasses.replace(
+        split, dwell=DwellMatrix(entries=np.hstack([split.dwell.entries, np.zeros((3, 1))])),
+        gains=np.vstack([split.gains, split.gains[:1]]))
+    crowded = dataclasses.replace(split, dwell=DwellMatrix(entries=np.eye(3) * 0.6), total_rbs=2)
+    fixtures = [split, _binding_cap(split), idle, crowded]
+    assert len(crowded.links.uavs) > crowded.total_rbs
+    points = [(system.inst, system.decode(x)[1]) for system, x in _kkt_iterates(fixtures)]
+    for inst in fixtures:
+        for _ in range(10):
+            shape = (inst.num_chs, inst.num_uavs)
+            z = np.zeros(inst.num_uavs)
+            z[inst.links.uavs] = rng.uniform(0.05, 1.0, len(inst.links.uavs)) * inst.total_rbs
+            points.append((inst, raopt.KktPoint(
+                z=z, power=rng.uniform(-0.1, 1.2, shape) * inst.pmax,
+                lam_pmax=rng.uniform(-0.1, 1.0, shape), lam_budget=rng.uniform(-1e-8, 1e-8),
+                lam_rate=rng.uniform(-0.1, 1.0, shape))))
+    for inst, point in points:
+        ref, worst = _checks_by_pair(point, inst)
+        np.testing.assert_allclose(raopt.kkt_residuals(point, inst), ref, rtol=1e-15, atol=0)
+        assert raopt.max_feasibility_violation(inst, point) == pytest.approx(worst, rel=1e-15)
+
+
 def test_single_link_optimum_uses_all_blocks():
     inst = single_link_instance(total_rbs=6)
     sol, point = raopt.solve_kkt(inst)
@@ -101,7 +158,7 @@ def test_complementary_slackness_at_convergence(rng):
     for _ in range(10):
         inst = random_instance(rng)
         _, point = raopt.solve_kkt(inst)
-        z_total = sum(point.z[u] for u in inst.active_uavs())
+        z_total = sum(point.z[u] for u in inst.links.uavs)
         assert abs(point.lam_budget * (z_total - inst.total_rbs)) < 1e-8
         for g, u in inst.active_pairs():
             assert abs(point.lam_pmax[g, u] * (point.power[g, u] - inst.pmax)) < 1e-8
@@ -198,6 +255,55 @@ def test_scaled_kkt_residual_matches_scalar_reference(rng):
         np.testing.assert_allclose(full[rate:end], 0.0, atol=1e-14)
 
 
+def test_kkt_jacobian_reuses_the_residual_kernels(monkeypatch):
+    # LM asks for the Jacobian only at the point whose residual it last
+    # evaluated, so inside LM each link kernel runs once per residual
+    # evaluation, and the Jacobian from the kept terms is the one a fresh
+    # system computes at that point. The instances: the split-CH fixture
+    # and the first 20 of the benchmark's crosscheck pool
+    refs = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+    pool = json.loads(refs.read_text(encoding="utf-8"))["crosscheck_pool"][:20]
+    instances = [split_ch_instance()] + [
+        harness.run_pipeline(generate_scenario(e["seed"], e["clusters"], 1, 10,
+                                               RadioParams(total_rbs=e["rbs"])),
+                             seed=e["seed"]).instance
+        for e in pool]
+    calls, in_lm, jacobians = collections.Counter(), [], []
+
+    def counted(name, fn):
+        def wrapper(self, *args):
+            calls[name] += bool(in_lm)
+            return fn(self, *args)
+        return wrapper
+
+    for cls, name in ((raopt.LinkView, "power"), (raopt.LinkView, "link_slopes"),
+                      (raopt.KktSystem, "residual")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    solve, jacobian = lma.solve, raopt.KktSystem.jacobian
+
+    def in_solve(*args, **kwargs):
+        in_lm.append(None)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            in_lm.pop()
+
+    def kept_jacobian(self, x):
+        jac = jacobian(self, x)
+        jacobians.append((self.inst, x.copy(), jac))
+        return jac
+
+    monkeypatch.setattr(raopt.lma, "solve", in_solve)
+    monkeypatch.setattr(raopt.KktSystem, "jacobian", kept_jacobian)
+    for inst in instances:
+        calls.clear()
+        raopt.solve_kkt(inst)
+        assert calls["power"] == calls["link_slopes"] == calls["residual"] > 0
+    assert len(jacobians) >= len(instances)
+    for inst, x, jac in jacobians:
+        assert np.array_equal(jac, jacobian(raopt.KktSystem(inst), x))
+
+
 def test_reduced_solves_instances_with_binding_caps(rng):
     # pmax just below the uncapped optimum's peak link power: the even split
     # Z/n can break the cap while an uneven split still keeps it. The KKT
@@ -210,7 +316,7 @@ def test_reduced_solves_instances_with_binding_caps(rng):
     slacks = [split_ch_instance(6)]
     while len(slacks) < 41:
         slack = random_instance(rng)
-        if len(slack.active_uavs()) >= 2:
+        if len(slack.links.uavs) >= 2:
             slacks.append(slack)
     solved = binding = verified = 0
     for slack in slacks:
@@ -284,19 +390,23 @@ def test_link_kernels_match_scalar_reference(rng):
         z = c_min / np.exp(rng.uniform(np.log(1e-4), np.log(3.0), size=len(links.uavs)))
         power = links.power(z[links.seg])
         ref_cost = np.zeros(len(links.uavs))
-        ref_marginal = np.zeros(len(links.uavs))
         for k, (g, u) in enumerate(zip(links.ch, links.uav)):
             i = links.uavs.tolist().index(u)
             ref = channel.required_power(inst.packet_bits, z[i], inst.rb_bandwidth, d[u, g],
                                          inst.beta, inst.gains[g, u], inst.noise_psd)
             assert power[k] == pytest.approx(ref, rel=1e-12)
             ref_cost[i] += d[u, g] * ref
-            c = inst.packet_bits / (inst.rb_bandwidth * d[u, g])
-            coeff = inst.rb_bandwidth * inst.noise_psd / (inst.beta * inst.gains[g, u])
-            ref_marginal[i] += d[u, g] * coeff * raopt.rb_term_derivative(c, z[i])
+            assert links.c[k] == inst.packet_bits / (inst.rb_bandwidth * d[u, g])
+            assert links.coeff[k] == (inst.rb_bandwidth * inst.noise_psd
+                                      / (inst.beta * inst.gains[g, u]))
         np.testing.assert_allclose(links.cost(z), ref_cost, rtol=1e-12)
+        # the kernel's slope and the reference evaluate one np.expm1
+        # expression, so they agree bit for bit, also at small t where a
+        # one-ulp difference in expm1 moves the slope by up to ~6e-12
+        z_link = z[links.seg]
+        assert np.array_equal(links.link_slopes(z_link)[0],
+                              links.coeff * raopt.rb_term_derivative(links.c, z_link))
         marginal, curvature = links.slopes(z)
-        np.testing.assert_allclose(marginal, ref_marginal, rtol=1e-12)
         # curvature against central differences of the marginal, computed in
         # extended precision and in expm1 form: at t = 1e-4 the 2**t form
         # leaves ~5e-11 relative error in the marginal even in long double,
@@ -312,6 +422,19 @@ def test_link_kernels_match_scalar_reference(rng):
         h = np.longdouble(1e-6) * z.astype(np.longdouble)
         numeric = (marginal_ld(z + h) - marginal_ld(z - h)) / (2 * h)
         np.testing.assert_allclose(curvature, numeric.astype(float), rtol=1e-6)
+
+
+def test_link_slope_matches_reference_where_the_two_expm1_differ():
+    # at c = 0.0012679746698940637, z = 1 math.expm1 and np.expm1 round a
+    # = ln2 * c apart by one ulp (numpy 2.4 on AVX-512 x86-64), which moves
+    # the slope by ~3e-13 relative; the reference takes the kernel's expm1
+    c = np.array([0.0012679746698940637, 0.5, 3.0])
+    n = len(c)
+    links = raopt.LinkView(ch=np.arange(n), uav=np.zeros(n, int), weight=np.ones(n), c=c,
+                           coeff=np.ones(n), uavs=np.array([0]), seg=np.zeros(n, int))
+    slope = links.link_slopes(np.ones(n))[0]
+    assert slope.tolist() == [raopt.rb_term_derivative(float(ck), 1.0) for ck in c]
+    assert np.array_equal(slope, raopt.rb_term_derivative(c, 1.0))
 
 
 def test_objective_decreases_with_budget(rng):
@@ -469,6 +592,9 @@ def test_rb_term_derivative_is_minus_inf_past_the_float_range():
         with pytest.raises(OverflowError):
             math.expm1(a / ln2 * ln2)
         assert raopt.rb_term_derivative(a / ln2, 1.0) == -math.inf
+    # element-wise over an array, with no overflow warning
+    a = np.array([a_max * (1 - 1e-9), a_max * (1 + 1e-9), log_max * (1 + 1e-12), 1e4])
+    assert raopt.rb_term_derivative(a / ln2, 1.0).tolist() == [below] + [-math.inf] * 3
 
 
 @pytest.mark.parametrize("uavs", [1, 2, 3])
@@ -552,7 +678,7 @@ def _cap_floor_fixtures(rng):
     capped = [_binding_cap(split_ch_instance(6))]
     while len(capped) < 11:
         slack = random_instance(rng)
-        if len(slack.active_uavs()) < 2:
+        if len(slack.links.uavs) < 2:
             continue
         inst = _binding_cap(slack)
         if _feasible(inst):
@@ -780,7 +906,7 @@ def test_reduced_level_search_reads_few_marginals(monkeypatch, rng):
     solves, spread, gap = 0, 0.0, 0.0
     while solves < 50:
         inst = random_instance(rng)
-        if len(inst.active_uavs()) >= 2:
+        if len(inst.links.uavs) >= 2:
             links = inst.links
             z = raopt.solve_reduced(inst).z
             level = -slopes(links, z[links.uavs])[0]
