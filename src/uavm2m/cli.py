@@ -22,21 +22,23 @@ from .model import (RadioParams, ScenarioFormatError, generate_scenario, load_sc
 
 
 def _parse_values(text: str) -> tuple[float, ...]:
-    """Sweep value lists: 'a,b,c' or an inclusive range 'a:b:step'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"range must be a:b:step, got {text!r}")
-        a, b, step = (float(p) for p in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("range step must be positive")
-        values = []
-        v = a
-        while v <= b + 1e-9 * max(1.0, abs(b)):
-            values.append(round(v, 12))
-            v += step
-        return tuple(values)
-    return tuple(float(p) for p in text.split(","))
+    """Finite sweep values: a list 'a,b,c' or an inclusive range 'a:b:step'."""
+    numbers = tuple(float(p) for p in text.split(":" if ":" in text else ","))
+    if not all(map(math.isfinite, numbers)):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+    if ":" not in text:
+        return numbers
+    if len(numbers) != 3:
+        raise argparse.ArgumentTypeError(f"range must be a:b:step, got {text!r}")
+    a, b, step = numbers
+    if step <= 0:
+        raise argparse.ArgumentTypeError("range step must be positive")
+    values = []
+    v = a
+    while v <= b + 1e-9 * max(1.0, abs(b)):
+        values.append(round(v, 12))
+        v += step
+    return tuple(values)
 
 
 def _checked(convert, accept, rule: str):

@@ -3,10 +3,11 @@ and the minimum UAV count for which one exists.
 
 Feasibility means every CH's service rate covers its arrival rate while each
 UAV spends at most one full slot dwelling. Total demand sum_g rate_g / mu
-therefore fits into U unit budgets iff it is <= U, and the constructive plan
-is a greedy sequential fill: CHs in ascending id order, each pouring its
-demand into the current UAV until that UAV's budget is full, spilling the
-remainder onto the next (a single CH may span several UAVs).
+therefore fits into U unit budgets iff it is <= U. Both plans come from one
+greedy sequential fill: CHs in ascending id order, each pouring its demand
+into the current UAV until that UAV's budget is full, spilling the remainder
+onto the next (a single CH may span several UAVs). The UAVs it opens are the
+minimum fleet; float dust at a whole-number total can open one beyond the ceil.
 """
 
 from __future__ import annotations
@@ -44,58 +45,42 @@ class StabilityPlan:
             raise ValueError("plan has negative slack")
 
 
-def _check_rates(arrival_rates: Sequence[float]) -> np.ndarray:
+def _demand(arrival_rates: Sequence[float], mu: float,
+            slack_target: float) -> tuple[np.ndarray, np.ndarray]:
+    """The checked rates and each CH's demand in slots (no margin without traffic)."""
     rates = np.asarray(arrival_rates, dtype=float)
     if rates.ndim != 1 or rates.size == 0:
         raise ValueError("arrival_rates must be a nonempty 1-D sequence")
-    if np.any(rates < 0):
-        raise ValueError(f"arrival rates must be nonnegative, got {rates}")
-    return rates
+    if not np.all((rates >= 0) & (rates < math.inf)):
+        raise ValueError(f"arrival_rates must be finite and nonnegative, got {rates}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    if not 0 <= slack_target < math.inf:
+        raise ValueError(f"slack_target must be finite and >= 0, got {slack_target}")
+    return rates, (rates + np.where(rates > 0, slack_target, 0.0)) / mu
 
 
-def find_dwell(
-    arrival_rates: Sequence[float],
-    uav_count: int,
-    mu: float = 1.0,
-    slack_target: float = 0.0,
-) -> StabilityPlan | None:
-    """Build a dwell matrix serving every CH at >= its arrival rate, or None
-    if `uav_count` UAVs cannot carry the load.
-
-    With slack_target > 0 every CH is served at rate >= arrival + slack_target
-    (useful to demonstrate strictly stable queues in simulation). Raises
-    UnplannableRateError, naming mu and the CH, when a CH's whole demand
-    rate / mu is below the 1e-12-slot dust cut.
-    """
-    rates = _check_rates(arrival_rates)
-    if uav_count < 1:
-        raise ValueError(f"uav_count must be >= 1, got {uav_count}")
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    if slack_target < 0:
-        raise ValueError(f"slack_target must be >= 0, got {slack_target}")
-
-    demand = (rates + np.where(rates > 0, slack_target, 0.0)) / mu
-    if demand.sum() > uav_count + _FEAS_EPS:
-        return None
-
-    entries = np.zeros((uav_count, rates.size))
+def _fill(demand: np.ndarray) -> np.ndarray:
+    """The greedy fill, one row per UAV it opens. A UAV opens only once the ones
+    before it are full, so ceil(total) + 1 rows always hold it."""
+    entries = np.zeros((math.ceil(demand.sum()) + 1, demand.size))
     u = 0
     budget = 1.0
-    for g in range(rates.size):
-        remaining = demand[g]
+    for g, remaining in enumerate(demand):
         # each pass either zeroes `remaining` (CH done) or zeroes `budget`
         # (next UAV); min/subtract pairs are exact, so no dust accumulates
         while remaining > 0:
             if budget <= 0:
                 u += 1
                 budget = 1.0
-                if u >= uav_count:
-                    return None
             pour = min(remaining, budget)
             entries[u, g] += pour
             remaining -= pour
             budget -= pour
+    return entries[:u + 1]
+
+
+def _plan(entries: np.ndarray, rates: np.ndarray, mu: float) -> StabilityPlan:
     # subtraction dust at UAV boundaries can leave ~1e-17 slivers that a later
     # stage would read as real (and unservable) visits; drop them
     entries[entries < _DUST] = 0.0
@@ -107,8 +92,31 @@ def find_dwell(
         raise UnplannableRateError(
             f"mu={mu:g} leaves CH {g} (arrival rate {rates[g]:g}) a dwell below "
             f"{_DUST:g} of a slot, which the plan cannot hold")
-    return StabilityPlan(dwell=DwellMatrix(entries=entries), uav_count=uav_count,
+    return StabilityPlan(dwell=DwellMatrix(entries=entries), uav_count=len(entries),
                          slack=served - rates)
+
+
+def find_dwell(
+    arrival_rates: Sequence[float],
+    uav_count: int,
+    mu: float = 1.0,
+    slack_target: float = 0.0,
+) -> StabilityPlan | None:
+    """Build a dwell matrix serving every CH at >= its arrival rate, or None
+    if the fill needs more than `uav_count` UAVs.
+
+    With slack_target > 0 every CH is served at rate >= arrival + slack_target
+    (useful to demonstrate strictly stable queues in simulation). Raises
+    UnplannableRateError, naming mu and the CH, when a CH's whole demand
+    rate / mu is below the 1e-12-slot dust cut.
+    """
+    rates, demand = _demand(arrival_rates, mu, slack_target)
+    if uav_count < 1:
+        raise ValueError(f"uav_count must be >= 1, got {uav_count}")
+    # the sum check bounds the fill's rows before it runs
+    if demand.sum() > uav_count + _FEAS_EPS or len(filled := _fill(demand)) > uav_count:
+        return None
+    return _plan(np.pad(filled, ((0, uav_count - len(filled)), (0, 0))), rates, mu)
 
 
 def plan_min_fleet(
@@ -117,23 +125,10 @@ def plan_min_fleet(
     slack_target: float = 0.0,
 ) -> StabilityPlan:
     """The dwell plan on the fewest UAVs that serve every CH with positive
-    rate at >= its arrival rate + slack_target: the first plan found from
-    the ceil of total demand up, 1 UAV for all-zero rates (a collector is
-    still deployed)."""
-    rates = _check_rates(arrival_rates)
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    if slack_target < 0:
-        raise ValueError(f"slack_target must be >= 0, got {slack_target}")
-    total = float((rates + np.where(rates > 0, slack_target, 0.0)).sum()) / mu
-    u = max(1, math.ceil(total - _FEAS_EPS))
-    # the ceil is a first guess that `find_dwell` rejects in 88 of 800
-    # generated cells (seeds 0-199 x 5/10/15/20 clusters): float dust in the
-    # demand (seed 0, 10 clusters: 4.000000000000001) spills past UAV u - 1,
-    # and this loop adds the excess UAV
-    while (plan := find_dwell(rates, u, mu, slack_target)) is None:
-        u += 1
-    return plan
+    rate at >= its arrival rate + slack_target: the fill's plan on the UAVs it
+    opens, 1 for all-zero rates (a collector is still deployed)."""
+    rates, demand = _demand(arrival_rates, mu, slack_target)
+    return _plan(_fill(demand), rates, mu)
 
 
 def min_uavs(arrival_rates: Sequence[float], mu: float = 1.0) -> int:
@@ -144,7 +139,7 @@ def min_uavs(arrival_rates: Sequence[float], mu: float = 1.0) -> int:
 def verify_plan(plan: StabilityPlan, arrival_rates: Sequence[float], mu: float = 1.0) -> bool:
     """Check all feasibility constraints within 1e-9: nonnegative entries,
     per-UAV budgets <= 1, and mu * total dwell >= arrival rate per CH."""
-    rates = _check_rates(arrival_rates)
+    rates = _demand(arrival_rates, mu, 0.0)[0]
     d = plan.dwell.entries
     if d.shape != (plan.uav_count, rates.size):
         return False

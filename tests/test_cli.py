@@ -151,6 +151,19 @@ def test_bad_values_argument_rejected():
         cli.main(["sweep", "--variable", "p_tx", "--values", "0.1:0.2"])
 
 
+@pytest.mark.parametrize("values", ["0.1:0.5:nan", "0.1:inf:0.1", "-inf:0.5:0.1", "0.1,nan"])
+def test_non_finite_sweep_value_is_a_usage_error(tmp_path, capsys, values):
+    # a NaN step would sweep the first value alone, an infinite bound would
+    # append values until memory runs out, and a NaN in a list would reach the cells
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--variable", "p_tx", f"--values={values}", "--clusters", "3",
+                  "--out", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --values: values must be finite, got {values!r}" in err
+    assert "Traceback" not in err
+
+
 def test_slack_target_sizes_the_fleet(tmp_path, capsys):
     # the fleet must carry the demand plus the slack: the minimum fleet for
     # the bare demand cannot serve it

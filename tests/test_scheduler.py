@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavm2m import queueing, scheduler
 from uavm2m.model import RadioParams, generate_scenario
@@ -87,19 +89,119 @@ def test_min_uavs_respects_mu():
     assert scheduler.min_uavs([2.0, 2.0], mu=4.0) == 1
 
 
-def test_plan_min_fleet_searches_once(monkeypatch):
-    # the fleet size comes from one search whose first plan is the result
-    calls = []
-    find_dwell = scheduler.find_dwell
+def _reference_find_dwell(rates, uav_count, mu, slack_target):
+    """The fill as it stood with a fleet-size search on top: a fixed
+    `uav_count` rows, and None as soon as the fill opens one more."""
+    rates = np.asarray(rates, dtype=float)
+    demand = (rates + np.where(rates > 0, slack_target, 0.0)) / mu
+    if demand.sum() > uav_count + 1e-9:
+        return None
+    entries = np.zeros((uav_count, rates.size))
+    u = 0
+    budget = 1.0
+    for g in range(rates.size):
+        remaining = demand[g]
+        while remaining > 0:
+            if budget <= 0:
+                u += 1
+                budget = 1.0
+                if u >= uav_count:
+                    return None
+            pour = min(remaining, budget)
+            entries[u, g] += pour
+            remaining -= pour
+            budget -= pour
+    entries[entries < 1e-12] = 0.0
+    served = mu * entries.sum(axis=0)
+    if np.any(served < rates - 1e-9):
+        raise scheduler.UnplannableRateError(f"mu={mu:g}")
+    return uav_count, entries.tobytes(), (served - rates).tobytes()
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return find_dwell(*args, **kwargs)
 
-    monkeypatch.setattr(scheduler, "find_dwell", counted)
-    plan = scheduler.plan_min_fleet([0.7, 0.8], slack_target=0.05)
-    assert plan.uav_count == 2 and len(calls) == 1
-    assert scheduler.min_uavs([0.7, 0.8]) == 2 and len(calls) == 2
+def _reference_plan_min_fleet(rates, mu, slack_target):
+    """The search from ceil(total demand) up, one UAV at a time."""
+    rates = np.asarray(rates, dtype=float)
+    total = float((rates + np.where(rates > 0, slack_target, 0.0)).sum()) / mu
+    u = max(1, math.ceil(total - 1e-9))
+    while (plan := _reference_find_dwell(rates, u, mu, slack_target)) is None:
+        u += 1
+    return plan
+
+
+def _outcome(planner, *args):
+    """The plan's UAV count, entry bytes and slack bytes; None; or the error."""
+    try:
+        plan = planner(*args)
+    except scheduler.UnplannableRateError:
+        return scheduler.UnplannableRateError
+    if isinstance(plan, scheduler.StabilityPlan):
+        return plan.uav_count, plan.dwell.entries.tobytes(), plan.slack.tobytes()
+    return plan
+
+
+_FIND_DWELL = scheduler.find_dwell
+
+
+@pytest.fixture
+def no_find_dwell(monkeypatch):
+    # the minimum fleet comes from one fill, never from trying fleet sizes
+    def refuse(*args, **kwargs):
+        raise AssertionError("plan_min_fleet called find_dwell")
+
+    monkeypatch.setattr(scheduler, "find_dwell", refuse)
+
+
+@pytest.mark.usefixtures("no_find_dwell")
+@pytest.mark.parametrize("mu,slack_target", [
+    (1.0, 0.0), (1.0, 0.05), (0.7, 0.0), (0.7, 0.05), (3.0, 0.0), (3.0, 0.05)])
+def test_plans_on_generated_cells_match_the_fleet_size_search(mu, slack_target):
+    # seeds 0-199 x 5/10/15/20 clusters, the cells in which the search steps
+    # past ceil(total demand) (88 of them at mu = 1 without slack) included
+    excess = 0
+    for seed in range(200):
+        for clusters in (5, 10, 15, 20):
+            rates = queueing.arrival_rates(generate_scenario(seed, clusters, 1, 10))
+            plan = _outcome(scheduler.plan_min_fleet, rates, mu, slack_target)
+            assert plan == _outcome(_reference_plan_min_fleet, rates, mu, slack_target)
+            u = plan[0]
+            for count in range(max(1, u - 1), u + 2):
+                assert (_outcome(_FIND_DWELL, rates, count, mu, slack_target)
+                        == _outcome(_reference_find_dwell, rates, count, mu, slack_target))
+            excess += u > max(1, math.ceil(float(np.sum(rates)) - 1e-9))
+    if (mu, slack_target) == (1.0, 0.0):
+        assert excess == 88
+
+
+@pytest.mark.usefixtures("no_find_dwell")
+@settings(deadline=None, max_examples=300)
+@given(rates=st.lists(st.integers(0, 15).map(lambda k: k / 10), min_size=1, max_size=14),
+       mu=st.sampled_from([1.0, 0.7, 3.0, 1e308]), slack_target=st.sampled_from([0.0, 0.05]),
+       offset=st.integers(-2, 2))
+def test_plans_on_drawn_rates_match_the_fleet_size_search(rates, mu, slack_target, offset):
+    # one-decimal rates often sum to a whole number, where float dust can
+    # open the excess UAV; mu = 1e308 makes every CH with traffic unplannable
+    assert (_outcome(scheduler.plan_min_fleet, rates, mu, slack_target)
+            == _outcome(_reference_plan_min_fleet, rates, mu, slack_target))
+    total = sum(r + slack_target for r in rates if r > 0) / mu
+    count = max(1, math.ceil(total) + offset)
+    assert (_outcome(_FIND_DWELL, rates, count, mu, slack_target)
+            == _outcome(_reference_find_dwell, rates, count, mu, slack_target))
+
+
+@pytest.mark.parametrize("name,call", [
+    ("arrival_rates", lambda: scheduler.find_dwell([math.nan, 0.3], 1)),
+    ("arrival_rates", lambda: scheduler.plan_min_fleet([0.3, math.inf])),
+    ("mu", lambda: scheduler.find_dwell([0.3], 1, mu=math.inf)),
+    ("mu", lambda: scheduler.plan_min_fleet([0.3], mu=math.nan)),
+    ("slack_target", lambda: scheduler.find_dwell([0.3], 1, slack_target=math.nan)),
+    ("slack_target", lambda: scheduler.plan_min_fleet([0.3], slack_target=math.inf)),
+], ids=["rates-nan", "rates-inf", "mu-inf", "mu-nan", "slack-nan", "slack-inf"])
+def test_non_finite_inputs_are_rejected_by_name(name, call):
+    # unchecked, NaN rates plan a CH no dwell, mu=inf gives NaN slack and a
+    # NaN slack target is blamed on mu
+    with pytest.raises(ValueError, match=f"^{name} must be finite") as err:
+        call()
+    assert not isinstance(err.value, scheduler.UnplannableRateError)
 
 
 def test_verify_plan_accepts_constructed_plans(rng):
