@@ -21,6 +21,9 @@ from .model import (RadioParams, ScenarioFormatError, generate_scenario, load_sc
                     save_scenario)
 
 
+_MAX_RANGE_VALUES = 10**6
+
+
 def _parse_values(text: str) -> tuple[float, ...]:
     """Finite sweep values: a list 'a,b,c' or an inclusive range 'a:b:step'."""
     numbers = tuple(float(p) for p in text.split(":" if ":" in text else ","))
@@ -33,10 +36,20 @@ def _parse_values(text: str) -> tuple[float, ...]:
     a, b, step = numbers
     if step <= 0:
         raise argparse.ArgumentTypeError("range step must be positive")
+    stop = b + 1e-9 * max(1.0, abs(b))
+    if a + step == a:
+        raise argparse.ArgumentTypeError(f"range {text!r}: step {step!r} cannot move {a!r}")
+    if (stop - a) / step >= _MAX_RANGE_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has more than {_MAX_RANGE_VALUES} values")
     values = []
     v = a
-    while v <= b + 1e-9 * max(1.0, abs(b)):
+    while v <= stop:
         values.append(round(v, 12))
+        # a step that moves a can still stall where the spacing of doubles
+        # doubles past a power of two
+        if v + step == v:
+            raise argparse.ArgumentTypeError(f"range {text!r}: step {step!r} cannot move {v!r}")
         v += step
     return tuple(values)
 

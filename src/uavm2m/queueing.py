@@ -11,6 +11,7 @@ CH receives), and the backlog follows
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import IO
 
@@ -124,40 +125,48 @@ def _inversion_cuts(n: int, p: float) -> list[float]:
 _CELLS = 256
 
 
-def _binomial_draws(rng: np.random.Generator, members: int, p: float,
-                    size: int) -> np.ndarray | None:
-    """`rng.binomial(members, p, size).astype(float)`, bit for bit and with the
-    same stream use, from one vectorized uniform draw; None where numpy would
-    not invert (BTPE for members * min(p, 1 - p) > 30) or would restart on an
-    extra uniform (a uniform above the last cut)."""
+def _binomial_draws(rng: np.random.Generator, members: int, p: float, uniforms: np.ndarray,
+                    cells: np.ndarray, out: np.ndarray) -> np.ndarray | None:
+    """`rng.binomial(members, p, out.size)` into the float64 buffer `out`, bit for
+    bit and with the same stream use, from one vectorized uniform draw into
+    `uniforms` (float64), whose table cells go to `cells` (intp); the three
+    buffers are the caller's and of one length. Returns `out`, or None where
+    numpy would not invert (BTPE for members * min(p, 1 - p) > 30) or would
+    restart on an extra uniform (a uniform above the last cut)."""
     if members == 0 or p == 0.0:
-        return np.zeros(size)
+        out.fill(0.0)
+        return out
     flip = p > 0.5  # numpy draws n - Binomial(n, 1 - p)
     pe = 1.0 - p if flip else p
     if pe * members > 30.0:
         return None
     # scaling by a power of two is exact, so comparisons keep their outcome
     cuts = np.array(_inversion_cuts(members, pe)) * _CELLS
-    u = rng.random(size)
+    u = rng.random(out=uniforms)
     u *= _CELLS
     if u.max() > cuts[-1]:
         return None
     below = np.searchsorted(cuts, np.arange(_CELLS + 1.0))  # cuts under each cell start
     table = np.where(below[1:] == below[:-1], below[:-1], np.nan)
-    draws = table[u.astype(np.intp)]
-    cut_cells = np.flatnonzero(np.isnan(draws))
-    draws[cut_cells] = np.searchsorted(cuts, u[cut_cells])
-    return members - draws if flip else draws
+    np.copyto(cells, u, casting="unsafe")  # truncates, as astype(np.intp) does
+    # every cell is in range; mode="raise" would take into a temporary copy of out
+    table.take(cells, out=out, mode="clip")
+    cut_cells = np.flatnonzero(np.isnan(out))
+    out[cut_cells] = np.searchsorted(cuts, u[cut_cells])
+    if flip:
+        np.subtract(members, out, out=out)
+    return out
 
 
-def _arrivals_for(seed: int, ch: int, members: int, p: float, horizon: int) -> np.ndarray:
-    # one deterministic substream per (seed, CH): parallel replications
+def _arrivals_for(seed: int, ch: int, members: int, p: float, uniforms: np.ndarray,
+                  cells: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """CH `ch`'s arrivals into `out`, on the buffers of `_binomial_draws`."""
+    # one deterministic substream per (seed, CH): CHs drawn on any worker
     # reproduce the serial draws bit-exactly
     seq = np.random.SeedSequence([seed, ch])
-    draws = _binomial_draws(np.random.default_rng(seq), members, p, horizon)
-    if draws is None:
-        draws = np.random.default_rng(seq).binomial(members, p, size=horizon).astype(float)
-    return draws
+    if _binomial_draws(np.random.default_rng(seq), members, p, uniforms, cells, out) is None:
+        out[:] = np.random.default_rng(seq).binomial(members, p, size=out.size)
+    return out
 
 
 def _integer_offered(capacity: float, horizon: int) -> np.ndarray:
@@ -166,30 +175,40 @@ def _integer_offered(capacity: float, horizon: int) -> np.ndarray:
     return np.diff(np.concatenate(([0.0], cum)))
 
 
-def _backlog_path(arrivals: np.ndarray, service: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _backlog_path(arrivals: np.ndarray, service: float | np.ndarray, out: np.ndarray,
+                  prefix: np.ndarray) -> np.ndarray:
     """Vectorized evaluation of Q[t+1] = max(Q[t] - service[t], 0) + arrivals[t]
-    into `out` (length horizon + 1), which is returned.
+    into `out` (length horizon + 1), which is returned. `service` is one
+    capacity for every slot or an array of per-slot service.
 
     Uses the reflected-walk identity: with U[t] = Q[t] - arrivals[t-1] (the
     backlog left after service, before the slot's arrivals), U follows a
     plain Lindley recursion whose solution is prefix-sum minus running min.
-    One prefix buffer is the only temporary; `fmin` equals `minimum` on the
-    NaN-free prefix (service is finite) and skips its NaN propagation.
+    The caller's `prefix` buffer (length horizon) is the only scratch; `fmin`
+    equals `minimum` on the NaN-free prefix (service is finite) and skips its
+    NaN propagation.
     """
     out[0] = 0.0
     horizon = arrivals.shape[0]
     if horizon == 0:
         return out
     # prefix[k] = sum of increments X[j] = arrivals[j-1] - service[j], j = 1..k
-    prefix = np.empty(horizon)
     prefix[0] = 0.0
-    np.subtract(arrivals[:-1], service[1:], out=prefix[1:])
+    np.subtract(arrivals[:-1], service[1:] if isinstance(service, np.ndarray) else service,
+                out=prefix[1:])
     np.cumsum(prefix[1:], out=prefix[1:])
     q = out[1:]
     np.fmin.accumulate(prefix, out=q)
     np.subtract(prefix, q, out=q)
     q += arrivals
     return out
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate(
@@ -205,6 +224,12 @@ def simulate(
     Each CH g gets per-slot service capacity service_rate * sum_u dwell[u, g];
     with integer_service=True only whole packets are served per slot, the
     fractional capacity remainder carrying over. Deterministic per seed.
+
+    The CHs run on n = min(CPUs in the process's CPU set, CH count) workers:
+    worker i simulates CHs i, i + n, ..., the calling thread being worker 0
+    and a thread pool made for the call running the rest. Each CH draws from
+    its own substream and writes only its own row, so the backlog bytes do
+    not depend on n.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -215,14 +240,32 @@ def simulate(
             f"plan covers {plan.num_clusters} CHs but scenario has {scenario.num_clusters}"
         )
     capacity = service_rate * plan.total_per_ch()
-    backlog = np.empty((scenario.num_clusters, horizon + 1))
-    for g, cluster in enumerate(scenario.clusters):
-        arrivals = _arrivals_for(seed, g, cluster.members, scenario.p_tx, horizon)
-        if integer_service:
-            service = _integer_offered(capacity[g], horizon)
-        else:
-            service = np.full(horizon, capacity[g])
-        _backlog_path(arrivals, service, backlog[g])
+    num_chs = scenario.num_clusters
+    workers = min(_cpu_count(), num_chs)
+    backlog = np.empty((num_chs, horizon + 1))
+    # each worker's scratch is allocated here: buffers a pool thread allocated
+    # would come from its own malloc arena and raise the process's peak memory
+    floats = np.empty((workers, 3, horizon))  # uniforms, arrivals, prefix
+    cells = np.empty((workers, horizon), dtype=np.intp)
+
+    def run(worker: int) -> None:
+        uniforms, arrivals, prefix = floats[worker]
+        for g in range(worker, num_chs, workers):
+            _arrivals_for(seed, g, scenario.clusters[g].members, scenario.p_tx,
+                          uniforms, cells[worker], arrivals)
+            service = _integer_offered(capacity[g], horizon) if integer_service else capacity[g]
+            _backlog_path(arrivals, service, backlog[g], prefix)
+
+    # imported here, as its import of logging would add ~4 ms to every
+    # `import uavm2m`; a pool thread starts per submitted worker, so with one
+    # worker none does
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run, w) for w in range(1, workers)]
+        run(0)
+        for future in futures:
+            future.result()
     backlog.setflags(write=False)
     return QueueTrace(backlog=backlog, horizon=horizon, seed=seed)
 

@@ -46,8 +46,9 @@ class StabilityPlan:
 
 
 def _demand(arrival_rates: Sequence[float], mu: float,
-            slack_target: float) -> tuple[np.ndarray, np.ndarray]:
-    """The checked rates and each CH's demand in slots (no margin without traffic)."""
+            slack_target: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The checked rates, each CH's demand in slots (no margin without traffic)
+    and the total demand, infinite where it overflows."""
     rates = np.asarray(arrival_rates, dtype=float)
     if rates.ndim != 1 or rates.size == 0:
         raise ValueError("arrival_rates must be a nonempty 1-D sequence")
@@ -57,7 +58,9 @@ def _demand(arrival_rates: Sequence[float], mu: float,
         raise ValueError(f"mu must be finite and > 0, got {mu}")
     if not 0 <= slack_target < math.inf:
         raise ValueError(f"slack_target must be finite and >= 0, got {slack_target}")
-    return rates, (rates + np.where(rates > 0, slack_target, 0.0)) / mu
+    with np.errstate(over="ignore"):
+        demand = (rates + np.where(rates > 0, slack_target, 0.0)) / mu
+        return rates, demand, float(demand.sum())
 
 
 def _fill(demand: np.ndarray) -> np.ndarray:
@@ -110,11 +113,11 @@ def find_dwell(
     UnplannableRateError, naming mu and the CH, when a CH's whole demand
     rate / mu is below the 1e-12-slot dust cut.
     """
-    rates, demand = _demand(arrival_rates, mu, slack_target)
+    rates, demand, total = _demand(arrival_rates, mu, slack_target)
     if uav_count < 1:
         raise ValueError(f"uav_count must be >= 1, got {uav_count}")
     # the sum check bounds the fill's rows before it runs
-    if demand.sum() > uav_count + _FEAS_EPS or len(filled := _fill(demand)) > uav_count:
+    if total > uav_count + _FEAS_EPS or len(filled := _fill(demand)) > uav_count:
         return None
     return _plan(np.pad(filled, ((0, uav_count - len(filled)), (0, 0))), rates, mu)
 
@@ -126,8 +129,13 @@ def plan_min_fleet(
 ) -> StabilityPlan:
     """The dwell plan on the fewest UAVs that serve every CH with positive
     rate at >= its arrival rate + slack_target: the fill's plan on the UAVs it
-    opens, 1 for all-zero rates (a collector is still deployed)."""
-    rates, demand = _demand(arrival_rates, mu, slack_target)
+    opens, 1 for all-zero rates (a collector is still deployed). Raises
+    ValueError when the total demand is infinite or too large to index the
+    fill's ceil(total) + 1 rows."""
+    rates, demand, total = _demand(arrival_rates, mu, slack_target)
+    if not (math.isfinite(total) and math.ceil(total) + 1 <= np.iinfo(np.intp).max):
+        raise ValueError(f"arrival_rates / mu (mu={mu!r}) give a total demand of {total!r} "
+                         "slots, more UAVs than a plan can index")
     return _plan(_fill(demand), rates, mu)
 
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -161,6 +162,25 @@ def test_non_finite_sweep_value_is_a_usage_error(tmp_path, capsys, values):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument --values: values must be finite, got {values!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("values,why", [
+    ("0.1:0.2:1e-300", ": step 1e-300 cannot move 0.1"),
+    # the step moves the start but not 2**53, where the spacing of doubles is 2
+    ("9007199254740990:9007199245740992:1", ": step 1.0 cannot move 9007199254740992.0"),
+    ("0:1e300:1", " has more than 1000000 values"),
+    ("0:1000000:1", " has more than 1000000 values"),  # one value too many
+])
+def test_endless_or_huge_sweep_range_is_a_usage_error(tmp_path, capsys, values, why):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--variable", "p_tx", f"--values={values}", "--clusters", "3",
+                  "--out", str(tmp_path / "s.csv")])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --values: range {values!r}{why}" in err
     assert "Traceback" not in err
 
 

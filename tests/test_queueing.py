@@ -1,6 +1,9 @@
+import dataclasses
 import io
 import math
 import re
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -122,6 +125,74 @@ def test_simulate_deterministic_per_seed():
     assert np.array_equal(a.backlog, b.backlog)
     c = queueing.simulate(scenario, plan, horizon=300, seed=10)
     assert not np.array_equal(a.backlog, c.backlog)
+
+
+def _cpus(monkeypatch, n):
+    """Make `simulate` see a CPU set of n CPUs."""
+    monkeypatch.setattr(queueing.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("clusters,p,big_ch,integer_service", [
+    (1, 0.1, False, False),
+    (3, 0.1, False, False),
+    (20, 0.1, False, False),
+    (20, 0.3, False, True),
+    (3, 0.0, False, False),
+    (3, 0.7, False, False),  # numpy draws n - Binomial(n, 1 - p)
+    (3, 0.1, True, False),   # CH 1 on the Generator.binomial fallback
+])
+def test_simulate_bytes_do_not_depend_on_the_worker_count(monkeypatch, clusters, p, big_ch,
+                                                          integer_service):
+    scenario = _scenario(seed=6, clusters=clusters, p=p)
+    if big_ch:
+        chs = list(scenario.clusters)
+        chs[1] = dataclasses.replace(chs[1], members=400)
+        scenario = dataclasses.replace(scenario, clusters=tuple(chs))
+        assert queueing._binomial_draws(np.random.default_rng(0), 400, p,
+                                        *_scratch(10)) is None
+    plan = scheduler.plan_min_fleet(queueing.arrival_rates(scenario), 1.0, 0.05)
+    calling_thread_chs = []
+    draw = queueing._arrivals_for
+
+    def arrivals_for(seed, ch, *args):
+        if threading.current_thread() is threading.main_thread():
+            calling_thread_chs.append(ch)
+        return draw(seed, ch, *args)
+
+    monkeypatch.setattr(queueing, "_arrivals_for", arrivals_for)
+    backlogs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for cpus in (1, 2, 3, 64):
+            _cpus(monkeypatch, cpus)
+            calling_thread_chs.clear()
+            trace = queueing.simulate(scenario, plan.dwell, horizon=3000, seed=4,
+                                      integer_service=integer_service)
+            backlogs[cpus] = trace.backlog.tobytes()
+            assert calling_thread_chs == list(range(0, clusters, min(cpus, clusters)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(backlogs.values())) == 1
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_simulate_raises_the_error_of_any_worker(monkeypatch, failing):
+    # CH 0 runs on the calling thread, CHs 1 and 2 on the pool
+    _cpus(monkeypatch, 3)
+    scenario = _scenario(clusters=3)
+    plan = DwellMatrix(entries=np.array([[0.1, 0.2, 0.3]]))
+    path = queueing._backlog_path
+
+    def backlog_path(arrivals, service, out, prefix):
+        if service == plan.entries[0, failing]:
+            raise RuntimeError(f"CH {failing} failed")
+        return path(arrivals, service, out, prefix)
+
+    monkeypatch.setattr(queueing, "_backlog_path", backlog_path)
+    with pytest.raises(RuntimeError, match=f"CH {failing} failed"):
+        queueing.simulate(scenario, plan, horizon=100, seed=0)
 
 
 def test_simulate_dimension_mismatch():
@@ -368,8 +439,15 @@ class _Uniforms:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
 
-    def random(self, size):
-        return np.resize(self.values, size)
+    def random(self, out):
+        out[:] = np.resize(self.values, out.size)
+        return out
+
+
+def _scratch(size):
+    """Buffers for `_binomial_draws` and `_arrivals_for`: uniforms, cells, draws,
+    filled with garbage that the draws must overwrite."""
+    return np.full(size, np.nan), np.full(size, -1, dtype=np.intp), np.full(size, np.nan)
 
 
 @pytest.mark.parametrize("p", _GRID_P)
@@ -378,9 +456,10 @@ def test_arrival_draws_equal_numpy_binomial(p):
     for members in range(65):
         ch = members % 7
         expected, after = _numpy_arrivals(3, ch, members, p, size)
-        assert queueing._arrivals_for(3, ch, members, p, size).tobytes() == expected.tobytes()
+        got = queueing._arrivals_for(3, ch, members, p, *_scratch(size))
+        assert got.tobytes() == expected.tobytes()
         rng = np.random.default_rng(np.random.SeedSequence([3, ch]))
-        draws = queueing._binomial_draws(rng, members, p, size)
+        draws = queueing._binomial_draws(rng, members, p, *_scratch(size))
         if draws is None:  # numpy's BTPE range: nothing drawn yet
             assert members * min(p, 1.0 - p) > 30
             rng.binomial(members, p, size=size)
@@ -392,10 +471,11 @@ def test_arrival_draws_equal_numpy_binomial(p):
 
 def test_btpe_range_falls_back_to_numpy():
     rng = np.random.default_rng(0)
-    assert queueing._binomial_draws(rng, 400, 0.1, 10) is None
+    assert queueing._binomial_draws(rng, 400, 0.1, *_scratch(10)) is None
     assert rng.random() == np.random.default_rng(0).random()
     expected, _ = _numpy_arrivals(5, 2, 400, 0.1, 3000)
-    assert queueing._arrivals_for(5, 2, 400, 0.1, 3000).tobytes() == expected.tobytes()
+    got = queueing._arrivals_for(5, 2, 400, 0.1, *_scratch(3000))
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("members,p", [(1, 1e-3), (7, 0.1), (10, 0.3), (33, 0.5),
@@ -424,9 +504,9 @@ def test_uniform_above_the_last_cut_takes_the_fallback(members, p, flip):
     bound, t_bound = len(cuts) - 1, cuts[-1]
     over = math.nextafter(t_bound, 1.0)
     assert over < 1.0  # a uniform numpy can draw
-    at = queueing._binomial_draws(_Uniforms([0.0, t_bound]), members, p, 4)
+    at = queueing._binomial_draws(_Uniforms([0.0, t_bound]), members, p, *_scratch(4))
     assert at.tolist() == ([members, members - bound] * 2 if flip else [0, bound] * 2)
-    assert queueing._binomial_draws(_Uniforms([0.0, over]), members, p, 4) is None
+    assert queueing._binomial_draws(_Uniforms([0.0, over]), members, p, *_scratch(4)) is None
     # numpy restarts there: it reads a second uniform for the same draw
     hi = math.floor(t_bound * 2.0**53) / 2.0**53 + 2.0**-53
     rng = _generator_at(hi)
@@ -436,7 +516,8 @@ def test_uniform_above_the_last_cut_takes_the_fallback(members, p, flip):
     assert rng.random() == skipped.random()
     with mock.patch.object(queueing, "_binomial_draws", return_value=None):
         expected, _ = _numpy_arrivals(1, 0, members, p, 500)
-        assert queueing._arrivals_for(1, 0, members, p, 500).tobytes() == expected.tobytes()
+        got = queueing._arrivals_for(1, 0, members, p, *_scratch(500))
+        assert got.tobytes() == expected.tobytes()
 
 
 # -- backlog pass: the in-place kernel against the expression it replaced --
@@ -467,13 +548,13 @@ def test_backlog_path_matches_reference_expression(pattern, horizon, capacity,
                                                    integer_service):
     arrivals = np.resize(pattern, horizon)
     if integer_service:
-        service = queueing._integer_offered(capacity, horizon)
+        service = per_slot = queueing._integer_offered(capacity, horizon)
     else:
-        service = np.full(horizon, capacity)
+        service, per_slot = capacity, np.full(horizon, capacity)
     out = np.full(horizon + 1, np.nan)
-    got = queueing._backlog_path(arrivals, service, out)
+    got = queueing._backlog_path(arrivals, service, out, np.full(horizon, np.nan))
     assert got is out
-    assert got.tobytes() == _reference_backlog_path(arrivals, service).tobytes()
+    assert got.tobytes() == _reference_backlog_path(arrivals, per_slot).tobytes()
 
 
 @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0])

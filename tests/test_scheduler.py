@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_find_dwell_names_a_service_rate_too_large_to_plan():
     # a large mu whose demands stay above the cut still plans
     plan = scheduler.find_dwell([0.0, 0.3], 1, mu=1e10)
     assert plan.dwell.entries[0, 1] == pytest.approx(3e-11)
+
+
+@pytest.mark.parametrize("rates,mu,total", [
+    ([1e308, 1e308], 0.5, math.inf),  # each CH's demand overflows
+    ([1e20, 0.3], 1.0, 1e20),  # ceil(total) + 1 rows exceed intp
+])
+def test_plan_min_fleet_names_a_total_demand_too_large_to_plan(rates, mu, total):
+    with pytest.raises(ValueError, match=re.escape(
+            f"arrival_rates / mu (mu={mu!r}) give a total demand of {total!r} slots")):
+        scheduler.plan_min_fleet(rates, mu=mu)
+    # a fleet of given size is simply too small
+    assert scheduler.find_dwell(rates, 5, mu=mu) is None
 
 
 def test_min_uavs_examples():
