@@ -79,50 +79,45 @@ class QueueTrace:
         return self.backlog[:, -1] / self.horizon
 
 
-def _inversion_cuts(n: int, p: float) -> list[float]:
-    """Cut points t_0 <= ... <= t_bound of numpy's Binomial inversion sampler, p <= 0.5.
+def _inversion_terms(n: int, p: float) -> list[float]:
+    """The pmf terms px_0..px_bound of numpy's Binomial inversion sampler, p <= 0.5.
 
     `Generator.binomial` draws Binomial(n, p) with n*p <= 30 by inversion
-    (`random_binomial_inversion` in numpy's distributions.c): one uniform U,
-    then `X = 0, px = qn; while U > px: X += 1, U -= px, px = next pmf term`,
-    restarting on a fresh uniform once X passes `bound`. Each `U -= px` is
-    monotone in U, so the loop passes step k exactly when U > t_k, t_k being
-    the largest double at which it stops by step k, and the draw is the
-    number of cuts below U. The pmf terms follow the C expressions in the
-    C order, so they are the same doubles; each cut starts at the partial sum
-    and moves a few ulps until the sequential residual agrees.
+    (`random_binomial_inversion` in numpy's distributions.c). The terms here
+    follow its C expressions in its C order, so they are the same doubles.
     """
     q = 1.0 - p
-    qn = math.exp(n * math.log1p(-p))
     mean = n * p
     bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
-    px = [qn]
+    px = [math.exp(n * math.log1p(-p))]
     for x in range(1, bound + 1):
         px.append(((n - x + 1) * p * px[-1]) / (x * q))
-
-    def stops_by(u: float, k: int) -> bool:
-        for term in px[:k]:
-            u -= term
-        return u <= px[k]
-
-    cuts, partial, cut = [], 0.0, 0.0
-    for k in range(bound + 1):
-        partial += px[k]
-        t = partial
-        while not stops_by(t, k):
-            t = math.nextafter(t, -math.inf)
-        while stops_by(math.nextafter(t, math.inf), k):
-            t = math.nextafter(t, math.inf)
-        cut = max(cut, t)
-        cuts.append(cut)
-    return cuts
+    return px
 
 
-# cells of the lookup table over [0, 1): a uniform in a cell that holds no
-# cut takes the cell's draw; the few in cells with a cut are searched. The
+def _inversion_loop(u: float, terms: list[float]) -> int:
+    """numpy's inversion loop on the one uniform u: `X = 0, px = qn; while
+    U > px: X += 1, U -= px, px = next term`. Returns len(terms) where numpy
+    passes the last term and restarts on a fresh uniform."""
+    for x, px in enumerate(terms):
+        if u <= px:
+            return x
+        u -= px
+    return len(terms)
+
+
+# cells of the lookup table over [0, 1): a uniform in a cell with no partial
+# sum near it takes the cell's draw; the few in other cells are searched. The
 # table stays at 2 KB: with 32 KB per-CH tables the heap fragmented and the
 # trace workload's peak memory crept up with each export.
 _CELLS = 256
+# The loop passes step k exactly where U exceeds a stopping point t_k, as each
+# `U -= px` is monotone in U. t_k lies within about 2(k + 1) rounding errors
+# (< 1e-13 for the at most 86 terms, n*p <= 30) of the partial sum S_k, so a
+# uniform more than this margin from every S_k draws the number of S_k below it.
+_MARGIN = 2.0**-38
+_CELL_LO = np.arange(_CELLS) / _CELLS - _MARGIN
+_CELL_HI = np.arange(1, _CELLS + 1) / _CELLS + _MARGIN
 
 
 def _binomial_draws(rng: np.random.Generator, members: int, p: float, uniforms: np.ndarray,
@@ -132,7 +127,7 @@ def _binomial_draws(rng: np.random.Generator, members: int, p: float, uniforms: 
     `uniforms` (float64), whose table cells go to `cells` (intp); the three
     buffers are the caller's and of one length. Returns `out`, or None where
     numpy would not invert (BTPE for members * min(p, 1 - p) > 30) or would
-    restart on an extra uniform (a uniform above the last cut)."""
+    restart on an extra uniform (a uniform past the last term)."""
     if members == 0 or p == 0.0:
         out.fill(0.0)
         return out
@@ -140,19 +135,25 @@ def _binomial_draws(rng: np.random.Generator, members: int, p: float, uniforms: 
     pe = 1.0 - p if flip else p
     if pe * members > 30.0:
         return None
-    # scaling by a power of two is exact, so comparisons keep their outcome
-    cuts = np.array(_inversion_cuts(members, pe)) * _CELLS
+    terms = _inversion_terms(members, pe)
+    # summed in order; no uniform is near the infinite last sum, which ends
+    # every search
+    sums = np.cumsum(terms + [math.inf])
     u = rng.random(out=uniforms)
-    u *= _CELLS
-    if u.max() > cuts[-1]:
-        return None
-    below = np.searchsorted(cuts, np.arange(_CELLS + 1.0))  # cuts under each cell start
-    table = np.where(below[1:] == below[:-1], below[:-1], np.nan)
-    np.copyto(cells, u, casting="unsafe")  # truncates, as astype(np.intp) does
+    # a cell's draw where no sum lies within the margin of the cell, else NaN
+    lo = np.searchsorted(sums, _CELL_LO)
+    table = np.where(lo == np.searchsorted(sums, _CELL_HI), lo, np.nan)
+    np.multiply(u, _CELLS, out=cells, casting="unsafe")  # exact, then truncated
     # every cell is in range; mode="raise" would take into a temporary copy of out
     table.take(cells, out=out, mode="clip")
-    cut_cells = np.flatnonzero(np.isnan(out))
-    out[cut_cells] = np.searchsorted(cuts, u[cut_cells])
+    searched = np.flatnonzero(np.isnan(out))
+    v = u[searched]
+    lo = np.searchsorted(sums, v - _MARGIN)
+    out[searched] = lo
+    for i in np.flatnonzero(sums[lo] < v + _MARGIN):  # near a sum: numpy's loop decides
+        out[searched[i]] = _inversion_loop(v[i], terms)
+    if out.max() == len(terms):  # a draw passed the last term: numpy restarts
+        return None
     if flip:
         np.subtract(members, out, out=out)
     return out

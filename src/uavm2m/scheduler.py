@@ -27,7 +27,9 @@ _DUST = 1e-12
 
 
 class UnplannableRateError(ValueError):
-    """The service rate is so large that a CH's demand, in slots, is dust."""
+    """The service rate mu is outside what a plan can hold: so large that a
+    CH's demand, in slots, is dust, or so small that the total demand is
+    infinite or too large to index."""
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,12 @@ def plan_min_fleet(
     """The dwell plan on the fewest UAVs that serve every CH with positive
     rate at >= its arrival rate + slack_target: the fill's plan on the UAVs it
     opens, 1 for all-zero rates (a collector is still deployed). Raises
-    ValueError when the total demand is infinite or too large to index the
-    fill's ceil(total) + 1 rows."""
+    UnplannableRateError when the total demand is infinite or too large to
+    index the fill's ceil(total) + 1 rows."""
     rates, demand, total = _demand(arrival_rates, mu, slack_target)
     if not (math.isfinite(total) and math.ceil(total) + 1 <= np.iinfo(np.intp).max):
-        raise ValueError(f"arrival_rates / mu (mu={mu!r}) give a total demand of {total!r} "
-                         "slots, more UAVs than a plan can index")
+        raise UnplannableRateError(f"arrival_rates / mu (mu={mu!r}) give a total demand of "
+                                   f"{total!r} slots, more UAVs than a plan can index")
     return _plan(_fill(demand), rates, mu)
 
 

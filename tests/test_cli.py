@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import pathlib
@@ -276,6 +277,29 @@ def test_unplannable_mu_is_a_usage_error(tmp_path, capsys, command):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "uavm2m: error: mu=1e+308 leaves CH 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "solve-ra", "baseline"])
+def test_tiny_mu_is_a_usage_error(tmp_path, capsys, command):
+    # a finite mu so small that the total demand, in slots, has too many UAVs
+    # to index
+    scn = tmp_path / "scn.txt"
+    assert cli.main(["gen", "--seed", "7", "--clusters", "20", "--out", str(scn)]) == 0
+    args = [command, "--scenario", str(scn), "--mu", "1e-300", "--out", str(tmp_path / "o.csv")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("uavm2m: error: arrival_rates / mu (mu=1e-300) give a total demand of "
+            "1.24e+301 slots" in err and "Traceback" not in err)
+
+
+def test_tiny_mu_is_a_sweep_cells_error_row(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--variable", "p_tx", "--values", "0.1", "--clusters", "5",
+                     "--mu", "1e-300", "--out", str(out)]) == 0
+    cell = next(csv.DictReader(out.read_text().splitlines()))
+    assert cell["error"].startswith("UnplannableRateError: arrival_rates / mu (mu=1e-300)")
 
 
 @pytest.mark.parametrize("row,message", [

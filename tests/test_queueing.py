@@ -478,30 +478,80 @@ def test_btpe_range_falls_back_to_numpy():
     assert got.tobytes() == expected.tobytes()
 
 
+def _stopping_points(members, p):
+    """numpy's stopping points t_0..t_bound for p <= 0.5: t_k is the largest
+    double on which `_inversion_loop` stops by step k, walked to from the
+    partial sum S_k (the loop stops by step k on a down-set of uniforms)."""
+    def stops_by(u, k):
+        x = _inversion_loop(u, members, p)
+        return x is not None and x <= k
+
+    points = []
+    for k, t in enumerate(np.cumsum(queueing._inversion_terms(members, p)).tolist()):
+        while not stops_by(t, k):
+            t = math.nextafter(t, -math.inf)
+        while stops_by(math.nextafter(t, math.inf), k):
+            t = math.nextafter(t, math.inf)
+        points.append(t)
+    return points
+
+
+def _ulps(x, n):
+    """x and the n doubles on either side of it."""
+    below = above = x
+    out = [x]
+    for _ in range(n):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def _check_draws_near_the_partial_sums(members, p):
+    """`_binomial_draws` on the uniforms where its draw can step, against
+    `_inversion_loop` and, on uniforms numpy can draw, `Generator.binomial`:
+    each partial sum S_k, 1-4 ulps and the 2**-38 margin either side of it,
+    and twice the margin, where the search decides; numpy's stopping points
+    and the doubles either side of them. Above the last stopping point
+    numpy restarts, and the draws are None."""
+    flip = p > 0.5
+    pe = 1.0 - p if flip else p
+    points = _stopping_points(members, pe)
+    uniforms = set()
+    for s in np.cumsum(queueing._inversion_terms(members, pe)).tolist():
+        uniforms.update(_ulps(s, 4), [s - 2.0**-38, s + 2.0**-38, s - 2.0**-37, s + 2.0**-37])
+    for t in points:
+        uniforms.update(_ulps(t, 1))
+    uniforms = sorted(u for u in uniforms if 0.0 <= u < 1.0)
+    loop = {u: _inversion_loop(u, members, pe) for u in uniforms}
+    drawn = [u for u in uniforms if loop[u] is not None]
+    expected = [members - loop[u] if flip else loop[u] for u in drawn]
+    with mock.patch.object(queueing, "_inversion_loop", wraps=queueing._inversion_loop) as run:
+        got = queueing._binomial_draws(_Uniforms(drawn), members, p, *_scratch(len(drawn)))
+    assert run.called and got.tolist() == expected
+    for u, x in zip(drawn, expected):
+        if u == math.floor(u * 2.0**53) / 2.0**53:  # a uniform numpy can draw
+            assert _generator_at(u).binomial(members, p) == x
+    restarts = [u for u in uniforms if loop[u] is None]
+    assert restarts == [u for u in uniforms if u > points[-1]]
+    for u in restarts:
+        assert queueing._binomial_draws(_Uniforms([0.0, u]), members, p, *_scratch(4)) is None
+
+
 @pytest.mark.parametrize("members,p", [(1, 1e-3), (7, 0.1), (10, 0.3), (33, 0.5),
                                        (64, 0.45), (20, 1e-3)])
 def test_inversion_cuts_are_the_loops_exact_stopping_points(members, p):
-    cuts = queueing._inversion_cuts(members, p)
-    assert cuts == sorted(cuts)
-    for k, t in enumerate(cuts):
-        # on every double: the loop stops by step k at t, and passes it just above
-        assert _inversion_loop(t, members, p) <= k
-        above = _inversion_loop(math.nextafter(t, 2.0), members, p)
-        assert above is None if t == cuts[-1] else above >= k + 1
-        # on the uniforms numpy can draw, numpy's own sampler agrees
-        lo = math.floor(t * 2.0**53) / 2.0**53
-        hi = lo + 2.0**-53
-        assert _generator_at(lo).binomial(members, p) <= k
-        if hi <= cuts[-1] and hi < 1.0:  # no restart above t
-            assert _generator_at(hi).binomial(members, p) >= k + 1
+    # the draws step up exactly where numpy's loop stops one step later
+    _check_draws_near_the_partial_sums(members, p)
 
 
-# cases whose last cut lies below the largest uniform, so numpy can restart
+# cases whose last stopping point (the loop's last cut) lies below the
+# largest uniform, so numpy can restart
 @pytest.mark.parametrize("members,p,flip", [(5, 0.1, False), (11, 0.5, False),
                                             (50, 0.01, False), (9, 0.7, True)])
 def test_uniform_above_the_last_cut_takes_the_fallback(members, p, flip):
-    cuts = queueing._inversion_cuts(members, 1.0 - p if flip else p)
-    bound, t_bound = len(cuts) - 1, cuts[-1]
+    _check_draws_near_the_partial_sums(members, p)
+    points = _stopping_points(members, 1.0 - p if flip else p)
+    bound, t_bound = len(points) - 1, points[-1]
     over = math.nextafter(t_bound, 1.0)
     assert over < 1.0  # a uniform numpy can draw
     at = queueing._binomial_draws(_Uniforms([0.0, t_bound]), members, p, *_scratch(4))
@@ -518,6 +568,35 @@ def test_uniform_above_the_last_cut_takes_the_fallback(members, p, flip):
         expected, _ = _numpy_arrivals(1, 0, members, p, 500)
         got = queueing._arrivals_for(1, 0, members, p, *_scratch(500))
         assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _arrival_cases(draw):
+    """(members, p): min(p, 1 - p) anywhere in [0, 0.5] or within a factor of
+    two of 30 / members, where numpy turns from inversion to BTPE; p on
+    either side of 0.5."""
+    members = draw(st.integers(0, 3000))
+    near_btpe = st.floats(0.5, 2.0).map(lambda r: min(0.5, r * 30.0 / max(members, 1)))
+    pe = draw(st.floats(0.0, 0.5) | near_btpe)
+    return members, draw(st.sampled_from([pe, 1.0 - pe]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_arrival_cases(), seed=st.integers(0, 2**64 - 1), ch=st.integers(0, 99),
+       size=st.integers(1, 2000))
+def test_arrivals_equal_numpy_binomial_on_drawn_cases(case, seed, ch, size):
+    members, p = case
+    expected, after = _numpy_arrivals(seed, ch, members, p, size)
+    made = []  # the Generators `_arrivals_for` makes; the last one draws its output
+
+    def default_rng(seq, make=np.random.default_rng):
+        made.append(make(seq))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", default_rng):
+        got = queueing._arrivals_for(seed, ch, members, p, *_scratch(size))
+    assert got.tobytes() == expected.tobytes()
+    assert made[-1].bit_generator.state == after.bit_generator.state
 
 
 # -- backlog pass: the in-place kernel against the expression it replaced --

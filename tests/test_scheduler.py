@@ -81,8 +81,10 @@ def test_find_dwell_names_a_service_rate_too_large_to_plan():
 ])
 def test_plan_min_fleet_names_a_total_demand_too_large_to_plan(rates, mu, total):
     with pytest.raises(ValueError, match=re.escape(
-            f"arrival_rates / mu (mu={mu!r}) give a total demand of {total!r} slots")):
+            f"arrival_rates / mu (mu={mu!r}) give a total demand of {total!r} slots")) as err:
         scheduler.plan_min_fleet(rates, mu=mu)
+    # a bad mu, as the CLI reports it
+    assert isinstance(err.value, scheduler.UnplannableRateError)
     # a fleet of given size is simply too small
     assert scheduler.find_dwell(rates, 5, mu=mu) is None
 
